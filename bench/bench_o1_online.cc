@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/instance.h"
 #include "core/schema.h"
 #include "obs/alloc.h"
 #include "obs/metrics.h"
@@ -44,6 +45,7 @@
 #include "online/policy.h"
 #include "online/repair.h"
 #include "online/trace.h"
+#include "planner/service.h"
 #include "util/csv_writer.h"
 #include "util/summary_stats.h"
 #include "util/table.h"
@@ -581,8 +583,11 @@ void BM_ReplanEveryUpdate(benchmark::State& state) {
 BENCHMARK(BM_ReplanEveryUpdate)->Arg(40)->Arg(200);
 
 void BM_MinMoveDelta(benchmark::State& state) {
-  // Delta between two fresh plans of neighboring instances — the cost
-  // of the escalation path's bookkeeping.
+  // Arg 0: m0. Arg 1 = 0 diffs a repaired live schema against itself,
+  // the floor of the escalation path's bookkeeping (every reducer
+  // matches itself). Arg 1 = 1 diffs it against a fresh PlannerService
+  // plan of the same alive set: the pair a deployed re-plan matches,
+  // with many overlapping candidates per reducer.
   wl::TraceConfig config;
   config.initial_inputs = static_cast<std::size_t>(state.range(0));
   config.steps = 1;
@@ -595,15 +600,44 @@ void BM_MinMoveDelta(benchmark::State& state) {
   for (const online::Update& update : trace.updates) assigner.Apply(update);
   const MappingSchema schema = assigner.Schema();
   std::vector<InputSize> sizes;
+  std::vector<InputSize> alive_sizes;
+  std::vector<InputId> live_of_dense;
   for (InputId id = 0; id < trace.updates.size(); ++id) {
     sizes.push_back(assigner.is_alive(id) ? assigner.size_of(id) : 1);
+    if (assigner.is_alive(id)) {
+      alive_sizes.push_back(assigner.size_of(id));
+      live_of_dense.push_back(id);
+    }
   }
+  MappingSchema target = schema;
+  if (state.range(1) == 1) {
+    const auto instance =
+        A2AInstance::Create(std::move(alive_sizes), trace.initial_capacity);
+    planner::PlannerService planner;
+    const planner::PlanResult plan = planner.Plan(*instance);
+    target.reducers.clear();
+    for (const Reducer& reducer : plan.schema->reducers) {
+      Reducer live;
+      for (InputId dense_id : reducer) {
+        live.push_back(live_of_dense[dense_id]);
+      }
+      std::sort(live.begin(), live.end());
+      target.reducers.push_back(std::move(live));
+    }
+  }
+  uint64_t candidates = 0;
   for (auto _ : state) {
-    auto delta = online::MinMoveDelta(sizes, schema, schema);
+    auto delta = online::MinMoveDelta(sizes, schema, target);
+    candidates = delta.overlapping_pairs;
     benchmark::DoNotOptimize(delta);
   }
+  state.counters["candidates"] = static_cast<double>(candidates);
 }
-BENCHMARK(BM_MinMoveDelta)->Arg(100)->Arg(400);
+BENCHMARK(BM_MinMoveDelta)
+    ->Args({100, 0})
+    ->Args({400, 0})
+    ->Args({100, 1})
+    ->Args({400, 1});
 
 }  // namespace
 

@@ -418,11 +418,20 @@ UpdateResult OnlineAssigner::Compact() {
 }
 
 ChurnStats OnlineAssigner::DeployMinMove(const MappingSchema& fresh_live) {
+  obs::Span span("online.deploy");
   const MappingSchema current = state_.ToSchema();
   DeltaDetail detail;
   const DeltaStats delta = MinMoveDelta(state_.sizes, current, fresh_live,
                                         &detail, config_.delta_matching);
   const ChurnStats churn = delta.ToChurn();
+  if (span.active()) {
+    span.Arg("candidates", delta.overlapping_pairs);
+    span.Arg("old_reducers",
+             static_cast<uint64_t>(current.num_reducers()));
+    span.Arg("new_reducers",
+             static_cast<uint64_t>(fresh_live.num_reducers()));
+    span.Arg("matched", delta.reducers_matched);
+  }
   if (config_.measure_matching_gap) {
     // One extra matching with the other backend. Both land on the same
     // final schema; only the shipped bytes differ, and Hungarian is
@@ -492,6 +501,7 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
   // the view for the Plan call below.
   std::optional<DenseView> dense;
   if (policy_->needs_bounds()) {
+    obs::Span consult("online.consult");
     dense.emplace(BuildDense());
     const QualitySnapshot quality = QualityFrom(*dense);
     signals.lb_reducers = quality.lb_reducers;

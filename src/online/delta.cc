@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -16,25 +15,72 @@ struct Candidate {
   uint32_t to = 0;
 };
 
+// The greedy's visiting order is overlap descending, then `from`
+// ascending, then `to` ascending: a strict total order, as each
+// (from, to) pair is one candidate. As a std heap comparator ("a ranks
+// below b") it makes a range a max-heap whose front is visited first.
+struct RanksBelow {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    if (a.overlap != b.overlap) return a.overlap < b.overlap;
+    if (a.from != b.from) return a.from > b.from;
+    return a.to > b.to;
+  }
+};
+
 constexpr uint32_t kNoMatch = ~uint32_t{0};
 
-// Greedy maximum-overlap matching, deterministic tie-breaks. Returns
+// Greedy maximum-overlap matching: visits the candidates in RanksBelow
+// order and pairs each one whose reducers are both still free. Returns
 // match_of_new: `to` reducer index -> matched `from` index (kNoMatch
 // when the reducer shares bytes with no available partner).
-std::vector<uint32_t> GreedyMatch(std::size_t num_old, std::size_t num_new,
+//
+// `candidates` holds group t (the candidates of `to` reducer t) in
+// [group_begin[t], group_begin[t + 1]). Instead of sorting them all,
+// each group becomes a lazy max-heap and a heap of group heads yields
+// the next candidate. A group leaves the heads once its reducer is
+// matched, and a head whose `from` reducer is taken is popped and its
+// group's next best re-offered. Taken reducers stay taken, so this
+// visits the accepted candidates in exactly the sorted order, while
+// only the candidates inspected pay a log factor.
+std::vector<uint32_t> GreedyMatch(std::size_t num_old,
+                                  const std::vector<std::size_t>& group_begin,
                                   std::vector<Candidate> candidates) {
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.overlap != b.overlap) return a.overlap > b.overlap;
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
+  const std::size_t num_new = group_begin.size() - 1;
   std::vector<uint32_t> match_of_new(num_new, kNoMatch);
   std::vector<bool> old_taken(num_old, false);
-  for (const Candidate& c : candidates) {
-    if (old_taken[c.from] || match_of_new[c.to] != kNoMatch) continue;
-    old_taken[c.from] = true;
-    match_of_new[c.to] = c.from;
+  std::vector<std::size_t> group_end(group_begin.begin() + 1,
+                                     group_begin.end());
+  std::vector<Candidate> heads;
+  heads.reserve(num_new);
+  for (std::size_t t = 0; t < num_new; ++t) {
+    if (group_begin[t] == group_end[t]) continue;
+    std::make_heap(candidates.begin() + group_begin[t],
+                   candidates.begin() + group_end[t], RanksBelow{});
+    heads.push_back(candidates[group_begin[t]]);
+  }
+  std::make_heap(heads.begin(), heads.end(), RanksBelow{});
+  std::size_t matched = 0;
+  while (!heads.empty() && matched < num_old) {
+    std::pop_heap(heads.begin(), heads.end(), RanksBelow{});
+    const Candidate head = heads.back();
+    heads.pop_back();
+    if (!old_taken[head.from]) {
+      old_taken[head.from] = true;
+      match_of_new[head.to] = head.from;
+      ++matched;
+      continue;
+    }
+    const auto first = candidates.begin() + group_begin[head.to];
+    auto last = candidates.begin() + group_end[head.to];
+    do {
+      std::pop_heap(first, last, RanksBelow{});
+      --last;
+    } while (last != first && old_taken[first->from]);
+    group_end[head.to] = last - candidates.begin();
+    if (last != first) {
+      heads.push_back(*first);
+      std::push_heap(heads.begin(), heads.end(), RanksBelow{});
+    }
   }
   return match_of_new;
 }
@@ -67,11 +113,13 @@ std::vector<uint32_t> HungarianMatch(std::size_t num_old,
   std::vector<int64_t> v(n + 1, 0);
   std::vector<std::size_t> row_of_col(n + 1, 0);
   std::vector<std::size_t> prev_col(n + 1, 0);
+  std::vector<int64_t> min_reduced;
+  std::vector<char> used;
   for (std::size_t i = 1; i <= n; ++i) {
     row_of_col[0] = i;
     std::size_t j0 = 0;
-    std::vector<int64_t> min_reduced(n + 1, kInf);
-    std::vector<char> used(n + 1, 0);
+    min_reduced.assign(n + 1, kInf);
+    used.assign(n + 1, 0);
     do {
       used[j0] = 1;
       const std::size_t i0 = row_of_col[j0];
@@ -144,6 +192,65 @@ void Difference(const std::vector<InputSize>& sizes, const Reducer& a,
   }
 }
 
+// Overlap bytes for every (old, new) reducer pair sharing an input,
+// grouped by `to` reducer as GreedyMatch expects. The inverted index
+// (input -> old reducers holding a copy) is flat CSR over the copies of
+// `old_reducers`: each copy as (input, reducer), sorted, so input
+// held[i]'s holders are holders[offsets[i], offsets[i + 1]). Its size is
+// the copy count, whatever the range of the ids. Members of a new
+// reducer ascend, so their lookups in `held` only move forward. A dense
+// scratch accumulator (reset via the touched list) keeps the overlap
+// sums linear in the number of co-occurrences.
+void CollectCandidates(const std::vector<InputSize>& sizes,
+                       const std::vector<Reducer>& old_reducers,
+                       const std::vector<Reducer>& new_reducers,
+                       std::vector<Candidate>* candidates,
+                       std::vector<std::size_t>* group_begin) {
+  std::vector<uint64_t> copies;
+  for (uint32_t r = 0; r < old_reducers.size(); ++r) {
+    for (InputId id : old_reducers[r]) {
+      copies.push_back(uint64_t{id} << 32 | r);
+    }
+  }
+  std::sort(copies.begin(), copies.end());
+  std::vector<InputId> held;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> holders(copies.size());
+  for (uint32_t k = 0; k < copies.size(); ++k) {
+    const auto id = static_cast<InputId>(copies[k] >> 32);
+    if (held.empty() || held.back() != id) {
+      held.push_back(id);
+      offsets.push_back(k);
+    }
+    holders[k] = static_cast<uint32_t>(copies[k]);
+  }
+  offsets.push_back(static_cast<uint32_t>(copies.size()));
+
+  std::vector<InputSize> overlap_with(old_reducers.size(), 0);
+  std::vector<uint32_t> touched;
+  group_begin->assign(1, 0);
+  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
+    auto lo = held.begin();
+    for (InputId id : new_reducers[t]) {
+      lo = std::lower_bound(lo, held.end(), id);
+      if (lo == held.end()) break;
+      if (*lo != id) continue;
+      const std::size_t i = lo - held.begin();
+      for (uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        const uint32_t f = holders[k];
+        if (overlap_with[f] == 0) touched.push_back(f);
+        overlap_with[f] += sizes[id];
+      }
+    }
+    for (uint32_t f : touched) {
+      candidates->push_back({overlap_with[f], f, t});
+      overlap_with[f] = 0;
+    }
+    touched.clear();
+    group_begin->push_back(candidates->size());
+  }
+}
+
 }  // namespace
 
 DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
@@ -158,39 +265,17 @@ DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
     detail->drops.clear();
   }
 
-  // Inverted index: input id -> old reducers holding a copy.
-  std::unordered_map<InputId, std::vector<uint32_t>> held_by;
-  for (uint32_t r = 0; r < old_reducers.size(); ++r) {
-    for (InputId id : old_reducers[r]) held_by[id].push_back(r);
-  }
-
-  // Overlap bytes for every (old, new) reducer pair sharing an input.
-  // A dense scratch accumulator (reset via the touched list) keeps
-  // this linear in the number of co-occurrences.
   std::vector<Candidate> candidates;
-  std::vector<InputSize> overlap_with(old_reducers.size(), 0);
-  std::vector<uint32_t> touched;
-  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
-    for (InputId id : new_reducers[t]) {
-      const auto it = held_by.find(id);
-      if (it == held_by.end()) continue;
-      for (uint32_t f : it->second) {
-        if (overlap_with[f] == 0) touched.push_back(f);
-        overlap_with[f] += sizes[id];
-      }
-    }
-    for (uint32_t f : touched) {
-      candidates.push_back({overlap_with[f], f, t});
-      overlap_with[f] = 0;
-    }
-    touched.clear();
-  }
+  std::vector<std::size_t> group_begin;
+  CollectCandidates(sizes, old_reducers, new_reducers, &candidates,
+                    &group_begin);
+  delta.overlapping_pairs = candidates.size();
 
   const std::vector<uint32_t> match_of_new =
       matching == DeltaMatching::kHungarian
           ? HungarianMatch(old_reducers.size(), new_reducers.size(),
                            candidates)
-          : GreedyMatch(old_reducers.size(), new_reducers.size(),
+          : GreedyMatch(old_reducers.size(), group_begin,
                         std::move(candidates));
   std::vector<bool> old_taken(old_reducers.size(), false);
   for (const uint32_t f : match_of_new) {

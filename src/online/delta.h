@@ -10,13 +10,23 @@
 // or wholly retired reducers, counts as churn.
 //
 // The matching is a deterministic greedy maximum-overlap pairing by
-// default — overlaps are computed through an inverted input index, so
-// the cost is proportional to the number of co-occurring reducer
-// pairs, not |old| x |new|. An exact Hungarian assignment backend
-// (O(n^3) in the reducer count) is kept as the optimal baseline: it
-// maximizes total retained overlap, hence provably minimizes shipped
-// bytes, and the greedy matcher's gap is measured against it in the
-// differential tests and bench_o1_online.
+// default. It visits the overlapping (old, new) reducer pairs in the
+// order overlap bytes descending, then old index ascending, then new
+// index ascending, and pairs each one whose reducers are both still
+// free; tests/online_delta_test.cc pins this order against a
+// sort-based reference. Overlaps come from a flat inverted input index
+// built by sorting the copies of `from`, so it is sized by the copy
+// count, never by the range of the input ids. Building the candidates
+// then costs O(candidates), the number of co-occurring reducer pairs,
+// not |old| x |new|. The candidates are not
+// sorted: each new reducer's candidates form a lazy max-heap (O(size)
+// to build), and a heap of group heads yields the next pair, so only
+// the candidates the greedy actually inspects pay a log factor. An
+// exact Hungarian assignment backend (O(n^3) in the reducer count) is
+// kept as the optimal baseline: it maximizes total retained overlap,
+// hence provably minimizes shipped bytes, and the greedy matcher's gap
+// is measured against it in the differential tests and
+// bench_o1_online.
 
 #ifndef MSP_ONLINE_DELTA_H_
 #define MSP_ONLINE_DELTA_H_
@@ -47,6 +57,9 @@ struct DeltaStats {
   uint64_t reducers_created = 0;
   uint64_t reducers_destroyed = 0;
   uint64_t reducers_matched = 0;
+  /// Work, not churn: (old, new) reducer pairs sharing an input, the
+  /// candidates the matching chose from.
+  uint64_t overlapping_pairs = 0;
 
   ChurnStats ToChurn() const {
     ChurnStats churn;
@@ -57,6 +70,8 @@ struct DeltaStats {
     churn.reducers_destroyed = reducers_destroyed;
     return churn;
   }
+
+  bool operator==(const DeltaStats&) const = default;
 };
 
 /// Itemization of a min-move delta: the per-copy re-shuffle plan the

@@ -51,8 +51,11 @@ TEST(KGroupsTest, SingleReducerWhenFewBins) {
   EXPECT_TRUE(ValidateA2A(*in, *schema).ok);
 }
 
+// Both fields 64-bit so the struct has no padding: GoogleTest prints a
+// parameter's raw bytes into the test name, and padding bytes are
+// indeterminate, which would make the names differ from run to run.
 struct KParam {
-  int k;
+  uint64_t k;
   uint64_t seed;
 };
 
@@ -68,7 +71,8 @@ TEST_P(KGroupsPropertyTest, ValidAndCapacityBounded) {
         m, 1, std::max<uint64_t>(1, q / param.k), rng.Next());
     auto in = A2AInstance::Create(sizes, q);
     ASSERT_TRUE(in.has_value());
-    const auto schema = SolveA2ABinPackKGroups(*in, param.k);
+    const auto schema =
+        SolveA2ABinPackKGroups(*in, static_cast<int>(param.k));
     ASSERT_TRUE(schema.has_value()) << "k=" << param.k;
     const ValidationResult v = ValidateA2A(*in, *schema);
     ASSERT_TRUE(v.ok) << v.error;

@@ -1,10 +1,15 @@
 // Tests for MinMoveDelta: zero-delta identities, exact aggregate
-// conservation, and overlap-maximizing matching behavior.
+// conservation, overlap-maximizing matching behavior, and a
+// differential check against a straightforward reference.
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/schema.h"
@@ -22,6 +27,183 @@ MappingSchema Make(std::vector<Reducer> reducers) {
   MappingSchema schema;
   schema.reducers = std::move(reducers);
   return schema;
+}
+
+// ---------------------------------------------------------------------
+// Reference MinMoveDelta: the straightforward implementation, the
+// oracle for the library's lazy-heap greedy and flat index. It indexes
+// inputs with a hash map, sorts every overlapping (old, new) pair by
+// (overlap desc, from asc, to asc) and walks the sorted list. Its
+// Hungarian matcher is the library's O(n^3) one, written without
+// reusing scratch across rows. The differential test below requires
+// the library to agree with it on every stat and every item of the
+// detail.
+
+struct RefCandidate {
+  InputSize overlap = 0;
+  uint32_t from = 0;
+  uint32_t to = 0;
+};
+
+constexpr uint32_t kRefNoMatch = ~uint32_t{0};
+
+std::vector<uint32_t> RefGreedyMatch(std::size_t num_old, std::size_t num_new,
+                                     std::vector<RefCandidate> candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const RefCandidate& a, const RefCandidate& b) {
+              if (a.overlap != b.overlap) return a.overlap > b.overlap;
+              if (a.from != b.from) return a.from < b.from;
+              return a.to < b.to;
+            });
+  std::vector<uint32_t> match_of_new(num_new, kRefNoMatch);
+  std::vector<bool> old_taken(num_old, false);
+  for (const RefCandidate& c : candidates) {
+    if (old_taken[c.from] || match_of_new[c.to] != kRefNoMatch) continue;
+    old_taken[c.from] = true;
+    match_of_new[c.to] = c.from;
+  }
+  return match_of_new;
+}
+
+std::vector<uint32_t> RefHungarianMatch(
+    std::size_t num_old, std::size_t num_new,
+    const std::vector<RefCandidate>& candidates) {
+  const std::size_t n = std::max(num_old, num_new);
+  std::vector<uint32_t> match_of_new(num_new, kRefNoMatch);
+  if (n == 0) return match_of_new;
+  std::vector<int64_t> weight(n * n, 0);
+  for (const RefCandidate& c : candidates) {
+    weight[static_cast<std::size_t>(c.to) * n + c.from] =
+        static_cast<int64_t>(c.overlap);
+  }
+  const int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+  std::vector<int64_t> u(n + 1, 0);
+  std::vector<int64_t> v(n + 1, 0);
+  std::vector<std::size_t> row_of_col(n + 1, 0);
+  std::vector<std::size_t> prev_col(n + 1, 0);
+  for (std::size_t i = 1; i <= n; ++i) {
+    row_of_col[0] = i;
+    std::size_t j0 = 0;
+    std::vector<int64_t> min_reduced(n + 1, kInf);
+    std::vector<char> used(n + 1, 0);
+    do {
+      used[j0] = 1;
+      const std::size_t i0 = row_of_col[j0];
+      int64_t delta = kInf;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= n; ++j) {
+        if (used[j]) continue;
+        const int64_t cur = -weight[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
+        if (cur < min_reduced[j]) {
+          min_reduced[j] = cur;
+          prev_col[j] = j0;
+        }
+        if (min_reduced[j] < delta) {
+          delta = min_reduced[j];
+          j1 = j;
+        }
+      }
+      for (std::size_t j = 0; j <= n; ++j) {
+        if (used[j] != 0) {
+          u[row_of_col[j]] += delta;
+          v[j] -= delta;
+        } else {
+          min_reduced[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (row_of_col[j0] != 0);
+    do {
+      const std::size_t j1 = prev_col[j0];
+      row_of_col[j0] = row_of_col[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  for (std::size_t j = 1; j <= n; ++j) {
+    const std::size_t t = row_of_col[j] - 1;
+    const std::size_t f = j - 1;
+    if (t < num_new && f < num_old && weight[t * n + f] > 0) {
+      match_of_new[t] = static_cast<uint32_t>(f);
+    }
+  }
+  return match_of_new;
+}
+
+// Copies of sorted `a` missing from sorted `b`, in order.
+std::vector<InputId> RefDifference(const Reducer& a, const Reducer& b) {
+  std::vector<InputId> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+DeltaStats RefMinMoveDelta(const std::vector<InputSize>& sizes,
+                           const MappingSchema& from, const MappingSchema& to,
+                           DeltaDetail* detail, DeltaMatching matching) {
+  std::vector<Reducer> old_reducers = from.reducers;
+  std::vector<Reducer> new_reducers = to.reducers;
+  for (Reducer& r : old_reducers) std::sort(r.begin(), r.end());
+  for (Reducer& r : new_reducers) std::sort(r.begin(), r.end());
+
+  std::unordered_map<InputId, std::vector<uint32_t>> held_by;
+  for (uint32_t r = 0; r < old_reducers.size(); ++r) {
+    for (InputId id : old_reducers[r]) held_by[id].push_back(r);
+  }
+  std::vector<RefCandidate> candidates;
+  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
+    std::vector<InputSize> overlap_with(old_reducers.size(), 0);
+    for (InputId id : new_reducers[t]) {
+      const auto it = held_by.find(id);
+      if (it == held_by.end()) continue;
+      for (uint32_t f : it->second) overlap_with[f] += sizes[id];
+    }
+    for (uint32_t f = 0; f < old_reducers.size(); ++f) {
+      if (overlap_with[f] > 0) candidates.push_back({overlap_with[f], f, t});
+    }
+  }
+
+  DeltaStats delta;
+  delta.overlapping_pairs = candidates.size();
+  const std::vector<uint32_t> match_of_new =
+      matching == DeltaMatching::kHungarian
+          ? RefHungarianMatch(old_reducers.size(), new_reducers.size(),
+                              candidates)
+          : RefGreedyMatch(old_reducers.size(), new_reducers.size(),
+                           candidates);
+  detail->matched_from.assign(new_reducers.size(), DeltaDetail::kUnmatched);
+  detail->ships.clear();
+  detail->drops.clear();
+  std::vector<bool> old_taken(old_reducers.size(), false);
+  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
+    const uint32_t f = match_of_new[t];
+    std::vector<InputId> shipped = new_reducers[t];
+    if (f != kRefNoMatch) {
+      old_taken[f] = true;
+      ++delta.reducers_matched;
+      detail->matched_from[t] = f;
+      shipped = RefDifference(new_reducers[t], old_reducers[f]);
+      for (InputId id : RefDifference(old_reducers[f], new_reducers[t])) {
+        ++delta.inputs_dropped;
+        detail->drops.emplace_back(f, id);
+      }
+    } else {
+      ++delta.reducers_created;
+    }
+    for (InputId id : shipped) {
+      ++delta.inputs_moved;
+      delta.bytes_moved += sizes[id];
+      detail->ships.emplace_back(t, id);
+    }
+  }
+  for (uint32_t f = 0; f < old_reducers.size(); ++f) {
+    if (old_taken[f]) continue;
+    ++delta.reducers_destroyed;
+    for (InputId id : old_reducers[f]) {
+      ++delta.inputs_dropped;
+      detail->drops.emplace_back(f, id);
+    }
+  }
+  return delta;
 }
 
 TEST(MinMoveDeltaTest, IdenticalSchemasAreFree) {
@@ -275,6 +457,124 @@ TEST(MinMoveDeltaTest, HungarianNeverWorseOnRandomSchemas) {
   // Random dense-overlap schema pairs must include cases where the
   // greedy pairing is beatable, or the baseline is not honest.
   EXPECT_GT(strictly_better, 0u);
+}
+
+// A random delta input. Shapes: 0 general,
+// 1 tie-heavy (sizes 1..3, dense reducers, so overlaps collide),
+// 2 one or both schemas empty, 3 disjoint inputs, 4 `to` a perturbed
+// and reordered copy of `from` (the shape a re-plan deploys), 5 larger
+// schemas. Reducers may be empty and members arrive unsorted.
+struct DeltaCase {
+  std::vector<InputSize> sizes;
+  MappingSchema from;
+  MappingSchema to;
+};
+
+DeltaCase RandomDeltaCase(Rng& rng, int shape) {
+  DeltaCase c;
+  const std::size_t m = 1 + rng.UniformInt(shape == 5 ? 150 : 40);
+  const InputSize max_size = shape == 1 ? 3 : 1 + rng.UniformInt(60);
+  for (std::size_t i = 0; i < m; ++i) {
+    c.sizes.push_back(1 + rng.UniformInt(max_size));
+  }
+  const auto random_schema = [&](InputId lo, InputId hi) {
+    MappingSchema schema;
+    const std::size_t z = rng.UniformInt(shape == 5 ? 60 : 12);
+    const double p = shape == 1 ? 0.4 + 0.4 * rng.UniformDouble()
+                                : 0.05 + 0.5 * rng.UniformDouble();
+    for (std::size_t r = 0; r < z; ++r) {
+      Reducer reducer;
+      for (InputId id = lo; id < hi; ++id) {
+        if (rng.Bernoulli(p)) reducer.push_back(id);
+      }
+      rng.Shuffle(&reducer);
+      schema.reducers.push_back(std::move(reducer));
+    }
+    return schema;
+  };
+  const InputId all = static_cast<InputId>(m);
+  if (shape == 3) {
+    c.from = random_schema(0, all / 2);
+    c.to = random_schema(all / 2, all);
+  } else {
+    c.from = random_schema(0, all);
+    c.to = random_schema(0, all);
+  }
+  if (shape == 2) {
+    const uint64_t which = rng.UniformInt(3);
+    if (which != 1) c.from.reducers.clear();
+    if (which != 0) c.to.reducers.clear();
+  }
+  if (shape == 4) {
+    c.to = c.from;
+    for (Reducer& reducer : c.to.reducers) {
+      std::erase_if(reducer, [&](InputId) { return rng.Bernoulli(0.2); });
+      for (InputId id = 0; id < all; ++id) {
+        if (rng.Bernoulli(0.05) &&
+            std::find(reducer.begin(), reducer.end(), id) == reducer.end()) {
+          reducer.push_back(id);
+        }
+      }
+      rng.Shuffle(&reducer);
+    }
+    rng.Shuffle(&c.to.reducers);
+  }
+
+  return c;
+}
+
+// The library (flat index, lazy-heap greedy) returns exactly the
+// reference's stats and detail, greedy and Hungarian.
+TEST(MinMoveDeltaTest, MatchesSortedReferenceOnRandomSchemas) {
+  Rng rng(2015);
+  uint64_t cases = 0;
+  uint64_t mismatches = 0;
+  uint64_t matched_somewhere = 0;
+  for (int shape = 0; shape <= 5; ++shape) {
+    const int rounds = shape == 5 ? 250 : 850;
+    for (int round = 0; round < rounds; ++round) {
+      const DeltaCase c = RandomDeltaCase(rng, shape);
+      for (const DeltaMatching matching :
+           {DeltaMatching::kGreedy, DeltaMatching::kHungarian}) {
+        DeltaDetail want;
+        const DeltaStats ref =
+            RefMinMoveDelta(c.sizes, c.from, c.to, &want, matching);
+        ++cases;
+        DeltaDetail got;
+        const DeltaStats lib = MinMoveDelta(c.sizes, c.from, c.to, &got,
+                                            matching);
+        const bool same = lib == ref &&
+                          got.matched_from == want.matched_from &&
+                          got.ships == want.ships && got.drops == want.drops;
+        if (!same && ++mismatches <= 5) {
+          ADD_FAILURE() << "shape " << shape << " round " << round
+                        << " matching " << static_cast<int>(matching);
+        }
+        matched_somewhere += ref.reducers_matched;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
+  EXPECT_GT(matched_somewhere, 0u);
+}
+
+// Ties everywhere: every overlap is one unit byte, so the order among
+// equal overlaps decides the whole matching.
+TEST(MinMoveDeltaTest, EqualOverlapsBreakTiesByFromThenTo) {
+  const std::vector<InputSize> sizes(6, 1);
+  const MappingSchema from = Make({{4, 0}, {1, 2}, {3, 5}});
+  const MappingSchema to = Make({{2, 5}, {0, 3}, {1, 4}});
+  // Overlaps are all 1: (from 0, to 1), (0, 2), (1, 0), (1, 2),
+  // (2, 0), (2, 1). The visiting order takes (0, 1), then (1, 0), and
+  // (2, 2) shares nothing, so from-reducer 2 retires and to-reducer 2
+  // is built fresh.
+  DeltaDetail detail;
+  const DeltaStats delta = MinMoveDelta(sizes, from, to, &detail);
+  EXPECT_EQ(detail.matched_from,
+            (std::vector<uint32_t>{1, 0, DeltaDetail::kUnmatched}));
+  EXPECT_EQ(delta.overlapping_pairs, 6u);
+  EXPECT_EQ(delta.reducers_matched, 2u);
+  EXPECT_EQ(delta.reducers_destroyed, 1u);
 }
 
 // Replays the six generated trace shapes under a periodic re-plan
