@@ -132,16 +132,14 @@ void PrintAppendTable(bool smoke, CsvWriter* csv,
 // ---------------------------------------------------------------------
 // Recovery time, differentially verified against the live run.
 
-durability::StreamConfig RecoveryStreamConfig(
-    const online::UpdateTrace& trace) {
-  durability::StreamConfig config;
-  config.x2y = trace.x2y;
-  config.translate = true;
-  config.use_portfolio = false;
-  config.capacity = trace.initial_capacity;
-  config.policy_spec.name = "drift";
-  config.policy_spec.cooldown = 8;
-  return config;
+online::InstanceSpec RecoverySpec(const online::UpdateTrace& trace) {
+  online::InstanceSpec spec;
+  spec.x2y = trace.x2y;
+  spec.use_portfolio = false;
+  spec.capacity = trace.initial_capacity;
+  spec.policy.name = "drift";
+  spec.policy.cooldown = 8;
+  return spec;
 }
 
 // Replays `trace` while logging every record (the CLI's --wal-out
@@ -159,11 +157,13 @@ LiveRun LogTrace(const online::UpdateTrace& trace) {
   std::string error;
   auto writer =
       durability::ChangelogWriter::Create(&fs, "wal", 1, options, &error);
-  const durability::StreamConfig config = RecoveryStreamConfig(trace);
-  online::OnlineAssigner assigner(config.ToOnlineConfig(nullptr));
+  const online::InstanceSpec spec = RecoverySpec(trace);
+  online::OnlineAssigner assigner(spec.ToOnlineConfig());
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t seq = 0;
-  writer->Append(durability::LogRecord::Create("s", 0, config), &error);
+  writer->Append(
+      durability::LogRecord::Create("s", 0, spec, /*translate=*/true),
+      &error);
   for (const online::Update& raw : trace.updates) {
     online::Update update = raw;
     online::TraceIdTranslator translator(&live_of_trace);

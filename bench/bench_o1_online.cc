@@ -14,11 +14,11 @@
 // its quality gap grows with trace length. Latency is reported as
 // mean/p50/p99 so tail effects of the hot-path layout are visible.
 //
-// A second table isolates the LiveState pair-coverage hot path at
+// A second table (O1b) isolates the LiveState repair hot path at
 // m >= 10^4 alive inputs: a clique-cover schema over 10,200 equal
-// inputs is bulk-seeded, then remove / shrink / regrow ops (each a
-// storm of coverage decrements or lookups) are timed under the dense
-// triangular backend vs the legacy unordered_map baseline.
+// inputs is bulk-seeded, then remove / shrink / regrow / add ops (each
+// a storm of coverage decrements or lookups) are timed with the rank
+// bitmap partner set vs the unordered_set baseline.
 //
 // `--smoke` shortens every trace, skips the m >= 10^4 sweep and the
 // Google Benchmark loops; `--json=FILE` writes the BENCH_o1_online.json
@@ -41,7 +41,6 @@
 #include "obs/alloc.h"
 #include "obs/metrics.h"
 #include "online/assigner.h"
-#include "online/coverage.h"
 #include "online/policy.h"
 #include "online/repair.h"
 #include "online/trace.h"
@@ -390,7 +389,7 @@ void PrintMatchingTable(bool smoke, CsvWriter* csv,
 // ~52M covered pairs — the regime where the coverage layout dominates
 // repair latency. Each measured op is coverage-heavy:
 //  * remove  — strips ~200 copies, each decrementing ~99 pair counts;
-//  * shrink  — load-only resize (backend-independent control);
+//  * shrink  — load-only resize (a control op);
 //  * regrow  — resize back up, whose uncovered-partner scan does one
 //              coverage lookup per alive input.
 
@@ -424,12 +423,10 @@ struct HotPathOutcome {
   double footprint_mb = 0;
 };
 
-HotPathOutcome RunHotPath(online::PairCoverage::Backend backend,
-                          online::PartnerSetBackend partner_backend) {
+HotPathOutcome RunHotPath(online::PartnerSetBackend partner_backend) {
   online::OnlineConfig config;
   config.capacity = kHotCapacity;
   config.policy_spec.name = "never";
-  config.coverage = backend;
   config.partner_set = partner_backend;
   online::OnlineAssigner assigner(config);
 
@@ -485,8 +482,8 @@ HotPathOutcome RunHotPath(online::PairCoverage::Backend backend,
 
 void PrintHotPathTable(CsvWriter* csv) {
   TablePrinter table(
-      "O1b: LiveState coverage + partner-set backends at m = 10,200 "
-      "(52M pairs)");
+      "O1b: LiveState partner-set backends at m = 10,200 (52M pairs, "
+      "triangular coverage)");
   table.SetHeader({"backend", "seed ms", "remove p50 us", "remove p99 us",
                    "regrow p50 us", "regrow p99 us", "add p50 us",
                    "add p99 us", "cover MB"});
@@ -495,18 +492,13 @@ void PrintHotPathTable(CsvWriter* csv) {
                  "add_p50_us", "add_p99_us", "cover_mb"});
   const struct {
     const char* name;
-    online::PairCoverage::Backend coverage;
     online::PartnerSetBackend partner;
   } backends[] = {
-      {"triangular+bitmap", online::PairCoverage::Backend::kTriangular,
-       online::PartnerSetBackend::kBitmap},
-      {"triangular+hashset", online::PairCoverage::Backend::kTriangular,
-       online::PartnerSetBackend::kHashSet},
-      {"hash (baseline)", online::PairCoverage::Backend::kHash,
-       online::PartnerSetBackend::kHashSet},
+      {"triangular+bitmap", online::PartnerSetBackend::kBitmap},
+      {"triangular+hashset", online::PartnerSetBackend::kHashSet},
   };
   for (const auto& entry : backends) {
-    const HotPathOutcome outcome = RunHotPath(entry.coverage, entry.partner);
+    const HotPathOutcome outcome = RunHotPath(entry.partner);
     table.AddRow({entry.name, TablePrinter::Fmt(outcome.seed_ms, 0),
                   TablePrinter::Fmt(outcome.remove_p50, 1),
                   TablePrinter::Fmt(outcome.remove_p99, 1),
@@ -527,13 +519,11 @@ void PrintHotPathTable(CsvWriter* csv) {
   }
   table.Print(std::cout);
   std::cout
-      << "\nExpected shape: the dense triangular array turns every pair\n"
-         "count into two arithmetic array accesses, so remove/regrow\n"
-         "latency (and the rebuild inside seeding) drops well below the\n"
-         "unordered_map baseline, at a fixed 4 bytes per alive pair.\n"
-         "The add path scans every alive partner through the uncovered\n"
-         "set: the rank bitmap (one array read per membership test)\n"
-         "beats the unordered_set baseline's hash probes.\n\n";
+      << "\nExpected shape: the add path scans every alive partner\n"
+         "through the uncovered set: the rank bitmap (one array read per\n"
+         "membership test) beats the unordered_set baseline's hash\n"
+         "probes. Coverage is the dense triangular array at a fixed 4\n"
+         "bytes per alive pair.\n\n";
 }
 
 void BM_IncrementalUpdate(benchmark::State& state) {

@@ -1,15 +1,10 @@
 // Experiment S1 — the sharded serving layer: throughput scaling with
-// shard count, and per-update repair latency under the two LiveState
-// coverage backends, on a many-instance replay workload.
-//
-//  * Scaling table — the same bundle of per-instance update traces is
-//    replayed through ServingServices with 1, 2, and 4 shards (one
-//    worker thread per shard, all escalating to one shared planner).
-//    Expected shape: near-linear updates/s scaling until the machine
-//    runs out of cores (a single-core container flattens at 1x).
-//  * Backend table — the same serving workload with the dense
-//    triangular pair-coverage array vs the legacy unordered_map
-//    baseline, comparing p50/p99 repair latency across all shards.
+// shard count on a many-instance replay workload. The same bundle of
+// per-instance update traces is replayed through ServingServices with
+// 1, 2, and 4 shards (one worker thread per shard, all escalating to
+// one shared planner). Expected shape: near-linear updates/s scaling
+// until the machine runs out of cores (a single-core container
+// flattens at 1x).
 //
 // `--smoke` shortens the workloads and skips the Google Benchmark
 // loops; `--json=FILE` writes the BENCH_s1_serving.json trajectory
@@ -25,7 +20,6 @@
 
 #include "bench_util.h"
 #include "online/assigner.h"
-#include "online/coverage.h"
 #include "online/trace.h"
 #include "serving/service.h"
 #include "util/csv_writer.h"
@@ -54,14 +48,12 @@ std::vector<online::UpdateTrace> MakeWorkload(std::size_t instances,
   return traces;
 }
 
-online::OnlineConfig InstanceConfig(const online::UpdateTrace& trace,
-                                    online::PairCoverage::Backend backend) {
+online::OnlineConfig InstanceConfig(const online::UpdateTrace& trace) {
   online::OnlineConfig config;
   config.x2y = trace.x2y;
   config.capacity = trace.initial_capacity;
   config.policy_spec.name = "drift";
   config.policy_spec.cooldown = 8;
-  config.coverage = backend;
   config.plan_options.use_portfolio = false;
   return config;
 }
@@ -74,16 +66,14 @@ struct ServeOutcome {
 };
 
 ServeOutcome RunWorkload(const std::vector<online::UpdateTrace>& traces,
-                         std::size_t shards,
-                         online::PairCoverage::Backend backend,
-                         std::size_t batch) {
+                         std::size_t shards, std::size_t batch) {
   serving::ServingConfig config;
   config.num_shards = shards;
   serving::ServingService service(config);
   Stopwatch watch;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const std::string key = "bench-" + std::to_string(i);
-    service.CreateInstance(key, InstanceConfig(traces[i], backend),
+    service.CreateInstance(key, InstanceConfig(traces[i]),
                            /*translate_trace_ids=*/true);
     service.SubmitBatch(key, traces[i].updates, batch);
   }
@@ -115,8 +105,7 @@ void PrintScalingTable(bool smoke, CsvWriter* csv,
   double base_rate = 0;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
-    const ServeOutcome outcome = RunWorkload(
-        traces, shards, online::PairCoverage::Backend::kTriangular, 8);
+    const ServeOutcome outcome = RunWorkload(traces, shards, 8);
     const double rate =
         outcome.seconds > 0
             ? static_cast<double>(outcome.updates) / outcome.seconds
@@ -150,42 +139,12 @@ void PrintScalingTable(bool smoke, CsvWriter* csv,
          "contend, and the shared planner only serializes escalations.\n\n";
 }
 
-void PrintBackendTable(bool smoke, CsvWriter* csv) {
-  const auto traces = MakeWorkload(/*instances=*/8, /*initial=*/150,
-                                   smoke ? 100 : 250);
-  TablePrinter table(
-      "S1b: repair latency by coverage backend (4 shards, m0=150)");
-  table.SetHeader({"backend", "updates", "p50 us", "p99 us", "seconds"});
-  csv->WriteRow({"table", "backend", "updates", "p50_us", "p99_us",
-                 "seconds"});
-  for (const auto& [name, backend] :
-       {std::pair<const char*, online::PairCoverage::Backend>{
-            "triangular", online::PairCoverage::Backend::kTriangular},
-        {"hash (baseline)", online::PairCoverage::Backend::kHash}}) {
-    const ServeOutcome outcome = RunWorkload(traces, 4, backend, 8);
-    table.AddRow({name, TablePrinter::Fmt(outcome.updates),
-                  TablePrinter::Fmt(outcome.p50_us, 1),
-                  TablePrinter::Fmt(outcome.p99_us, 1),
-                  TablePrinter::Fmt(outcome.seconds, 3)});
-    csv->WriteRow({"S1b", name, std::to_string(outcome.updates),
-                   TablePrinter::Fmt(outcome.p50_us, 1),
-                   TablePrinter::Fmt(outcome.p99_us, 1),
-                   TablePrinter::Fmt(outcome.seconds, 3)});
-  }
-  table.Print(std::cout);
-  std::cout
-      << "\nExpected shape: the triangular layout trims both percentiles;\n"
-         "the gap widens with instance size (see O1b in bench_o1_online\n"
-         "for the m >= 10^4 regime).\n\n";
-}
-
 void BM_ServingReplay(benchmark::State& state) {
   const auto traces = MakeWorkload(/*instances=*/6, /*initial=*/40,
                                    /*steps=*/150);
   const std::size_t shards = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const ServeOutcome outcome = RunWorkload(
-        traces, shards, online::PairCoverage::Backend::kTriangular, 8);
+    const ServeOutcome outcome = RunWorkload(traces, shards, 8);
     benchmark::DoNotOptimize(outcome);
   }
   uint64_t events = 0;
@@ -204,7 +163,6 @@ int main(int argc, char** argv) {
   CsvWriter csv("bench_s1_serving.csv");
   benchutil::BenchJson json("s1_serving");
   PrintScalingTable(args.smoke, &csv, &json);
-  PrintBackendTable(args.smoke, &csv);
   if (benchutil::EmitBenchJson(json, args) != 0) return 1;
   if (!args.smoke) {
     benchmark::Initialize(&argc, argv);

@@ -27,10 +27,10 @@
 #include "core/x2y.h"
 #include "online/assigner.h"
 #include "online/budget.h"
-#include "online/coverage.h"
 #include "online/delta.h"
 #include "online/policy.h"
 #include "online/snapshot.h"
+#include "online/spec.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -601,28 +601,51 @@ std::optional<online::UpdateTrace> LoadTrace(const std::string& path,
   return trace;
 }
 
-// Reads the shared policy flags (--policy/--replan-threshold/
-// --every-n/--cooldown) into a serializable spec.
-std::optional<online::PolicySpec> LoadPolicySpec(const ArgParser& parser,
-                                                 std::ostream& err) {
-  online::PolicySpec spec;
-  spec.name = parser.GetString("policy", "drift");
+// Reads the spec flags every instance-building command shares
+// (WithSpecFlags below) into the one instance spec (online/spec.h); the
+// caller supplies the shape and capacity (from the trace, or serve's
+// --kind/--q). Prints the reason and returns nullopt when a flag is
+// malformed or the spec fails Validate().
+std::optional<online::InstanceSpec> LoadInstanceSpec(const ArgParser& parser,
+                                                     bool x2y,
+                                                     InputSize capacity,
+                                                     std::ostream& err) {
+  online::InstanceSpec spec;
+  spec.x2y = x2y;
+  spec.capacity = capacity;
+  spec.policy.name = parser.GetString("policy", "drift");
   const auto threshold = parser.GetDouble("replan-threshold", 1.5);
   const auto every_n = parser.GetUint("every-n", 64);
   const auto cooldown = parser.GetUint("cooldown", 0);
-  if (!threshold || !every_n || !cooldown || *threshold < 1.0 ||
-      *every_n == 0) {
-    err << "error: bad --replan-threshold/--every-n/--cooldown "
-           "(threshold >= 1.0, every-n > 0)\n";
+  const auto matching_gap = parser.GetUint("matching-gap", 0);
+  const auto portfolio = parser.GetUint("portfolio", 0);
+  const auto budget_bytes = parser.GetUint("churn-budget", 0);
+  const auto budget_window = parser.GetUint("budget-window", 64);
+  if (!threshold || !every_n || !cooldown || !matching_gap || !portfolio ||
+      !budget_bytes || !budget_window) {
+    err << "error: bad --replan-threshold/--every-n/--cooldown/"
+           "--matching-gap/--portfolio/--churn-budget/--budget-window\n";
     return std::nullopt;
   }
-  spec.reducer_drift = *threshold;
-  spec.comm_drift = std::max(1.0, *threshold * 1.5);
-  spec.every_n = *every_n;
-  spec.cooldown = *cooldown;
-  if (online::MakePolicy(spec) == nullptr) {
-    err << "error: unknown --policy '" << spec.name
-        << "' (drift|never|always|every-n)\n";
+  const std::string matching = parser.GetString("matching", "greedy");
+  if (matching == "hungarian") {
+    spec.matching = online::DeltaMatching::kHungarian;
+  } else if (matching != "greedy") {
+    err << "error: unknown --matching '" << matching
+        << "' (greedy|hungarian)\n";
+    return std::nullopt;
+  }
+  spec.policy.reducer_drift = *threshold;
+  spec.policy.comm_drift = std::max(1.0, *threshold * 1.5);
+  spec.policy.every_n = *every_n;
+  spec.policy.cooldown = *cooldown;
+  spec.measure_matching_gap = *matching_gap != 0;
+  spec.use_portfolio = *portfolio != 0;
+  spec.budget.bytes_per_window = *budget_bytes;
+  spec.budget.window_updates = *budget_window;
+  const std::string invalid = spec.Validate();
+  if (!invalid.empty()) {
+    err << "error: bad instance spec: " << invalid << "\n";
     return std::nullopt;
   }
   return spec;
@@ -632,44 +655,6 @@ std::optional<online::PolicySpec> LoadPolicySpec(const ArgParser& parser,
 // server drains gracefully on Ctrl-C.
 std::atomic<bool> g_serve_stop{false};
 void ServeStopHandler(int) { g_serve_stop.store(true); }
-
-// Reads --matching into a min-move delta backend selection.
-std::optional<online::DeltaMatching> LoadMatching(const ArgParser& parser,
-                                                  std::ostream& err) {
-  const std::string name = parser.GetString("matching", "greedy");
-  if (name == "greedy") return online::DeltaMatching::kGreedy;
-  if (name == "hungarian") return online::DeltaMatching::kHungarian;
-  err << "error: unknown --matching '" << name << "' (greedy|hungarian)\n";
-  return std::nullopt;
-}
-
-// Reads --churn-budget/--budget-window into a per-window budget
-// (budget.h). bytes 0 = unbudgeted.
-std::optional<online::BudgetConfig> LoadBudget(const ArgParser& parser,
-                                               std::ostream& err) {
-  const auto bytes = parser.GetUint("churn-budget", 0);
-  const auto window = parser.GetUint("budget-window", 64);
-  if (!bytes || !window || *window == 0) {
-    err << "error: bad --churn-budget/--budget-window (window > 0)\n";
-    return std::nullopt;
-  }
-  online::BudgetConfig budget;
-  budget.bytes_per_window = *bytes;
-  budget.window_updates = *window;
-  return budget;
-}
-
-// Reads --coverage into a LiveState backend selection.
-std::optional<online::PairCoverage::Backend> LoadCoverage(
-    const ArgParser& parser, std::ostream& err) {
-  const std::string name = parser.GetString("coverage", "triangular");
-  if (name == "triangular") {
-    return online::PairCoverage::Backend::kTriangular;
-  }
-  if (name == "hash") return online::PairCoverage::Backend::kHash;
-  err << "error: unknown --coverage '" << name << "' (triangular|hash)\n";
-  return std::nullopt;
-}
 
 // Latency/skip tallies of one replay (possibly resumed mid-trace).
 struct ReplayStats {
@@ -950,49 +935,33 @@ int ReplayTraceBudgeted(const online::UpdateTrace& trace,
 int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
   const auto trace = LoadTrace(parser.GetString("trace"), err);
   if (!trace.has_value()) return 2;
-  const auto spec = LoadPolicySpec(parser, err);
+  const auto spec = LoadInstanceSpec(parser, trace->x2y,
+                                     trace->initial_capacity, err);
   if (!spec.has_value()) return 2;
-  const auto coverage = LoadCoverage(parser, err);
-  if (!coverage.has_value()) return 2;
-  const auto matching = LoadMatching(parser, err);
-  if (!matching.has_value()) return 2;
-  const auto budget = LoadBudget(parser, err);
-  if (!budget.has_value()) return 2;
   const auto validate_every = parser.GetUint("validate-every", 1);
-  const auto portfolio = parser.GetUint("portfolio", 0);
-  const auto matching_gap = parser.GetUint("matching-gap", 0);
   const auto batch = parser.GetUint("batch", 0);
   const auto fsync_every = parser.GetUint("fsync-every", 32);
-  if (!validate_every || !portfolio || !matching_gap || !batch ||
-      !fsync_every) {
-    err << "error: bad --validate-every/--portfolio/--matching-gap/"
-           "--batch/--fsync-every\n";
+  if (!validate_every || !batch || !fsync_every) {
+    err << "error: bad --validate-every/--batch/--fsync-every\n";
     return 2;
   }
 
   ObsSession obs_session;
   obs_session.Init(parser);
 
-  online::OnlineConfig config;
-  config.x2y = trace->x2y;
-  config.capacity = trace->initial_capacity;
-  config.policy_spec = *spec;
-  config.coverage = *coverage;
-  config.delta_matching = *matching;
-  config.measure_matching_gap = *matching_gap != 0;
-  config.plan_options.use_portfolio = *portfolio != 0;
+  online::OnlineConfig config = spec->ToOnlineConfig();
   config.metrics = obs_session.registry();
 
   std::unique_ptr<durability::ChangelogWriter> wal;
   const std::string wal_out = parser.GetString("wal-out");
-  if (budget->bytes_per_window > 0) {
+  if (spec->budget.bytes_per_window > 0) {
     if (!wal_out.empty()) {
       err << "error: --churn-budget is incompatible with --wal-out (the "
              "changelog records events at apply time in submit order, "
              "which budget deferral would reorder)\n";
       return 2;
     }
-    return ReplayTraceBudgeted(*trace, config, *budget,
+    return ReplayTraceBudgeted(*trace, config, spec->budget,
                                static_cast<std::size_t>(*batch),
                                *validate_every, obs_session, out, err);
   }
@@ -1010,10 +979,8 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
     }
     // The stream header record: replaying this log from scratch must
     // rebuild the same assigner configuration.
-    if (!wal->Append(durability::LogRecord::Create(
-                         kCliStreamKey, 0,
-                         durability::StreamConfig::From(
-                             config, /*translate=*/true)),
+    if (!wal->Append(durability::LogRecord::Create(kCliStreamKey, 0, *spec,
+                                                   /*translate=*/true),
                      &wal_error)) {
       err << "error: " << wal_error << "\n";
       return 2;
@@ -1070,23 +1037,11 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
   const auto skew = parser.GetDouble("skew", trace_config.skew);
   const auto seed = parser.GetUint("seed", trace_config.seed);
   const auto batch = parser.GetUint("batch", 0);
-  const auto portfolio = parser.GetUint("portfolio", 0);
   const auto fsync_every = parser.GetUint("fsync-every", 32);
   const auto rotate_every = parser.GetUint("rotate-every", 0);
   const auto stats_every = parser.GetUint("stats-every", 0);
   const auto watchdog_ms = parser.GetUint("watchdog-ms", 0);
   const std::string watchdog_dump = parser.GetString("watchdog-dump");
-  const auto spec = LoadPolicySpec(parser, err);
-  if (!spec.has_value()) return 2;
-  const auto matching = LoadMatching(parser, err);
-  if (!matching.has_value()) return 2;
-  const auto budget = LoadBudget(parser, err);
-  if (!budget.has_value()) return 2;
-  const auto matching_gap = parser.GetUint("matching-gap", 0);
-  if (!matching_gap) {
-    err << "error: bad --matching-gap\n";
-    return 2;
-  }
   if (!stats_every) {
     err << "error: bad --stats-every\n";
     return 2;
@@ -1104,8 +1059,8 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
     return 2;
   }
   if (!instances || !shards || !initial || !steps || !q || !lo || !hi ||
-      !skew || !seed || !batch || !portfolio || !fsync_every ||
-      !rotate_every || *instances == 0 ||
+      !skew || !seed || !batch || !fsync_every || !rotate_every ||
+      *instances == 0 ||
       *instances > 4096 || *shards == 0 || *shards > 256 || *q < 2 ||
       *lo == 0 || *lo > *hi || *lo > *q / 2 || *skew < 0.0 ||
       *initial > kMaxTraceEvents || *steps > kMaxTraceEvents ||
@@ -1115,6 +1070,8 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
            "initial/steps <= 10^7)\n";
     return 2;
   }
+  const auto spec = LoadInstanceSpec(parser, trace_config.x2y, *q, err);
+  if (!spec.has_value()) return 2;
 
   ObsSession obs_session;
   obs_session.Init(parser);
@@ -1122,7 +1079,7 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
   serving::ServingConfig serving_config;
   serving_config.num_shards = static_cast<std::size_t>(*shards);
   serving_config.metrics = obs_session.registry();
-  serving_config.default_budget = *budget;
+  serving_config.default_budget = spec->budget;
   serving::ServingService service(serving_config);
 
   // The periodic dumper starts before WAL attach so even a run that
@@ -1272,14 +1229,14 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
   Stopwatch wall;
   for (uint64_t i = 0; i < *instances; ++i) {
     const std::string key = "trace-" + std::to_string(i);
-    online::OnlineConfig config;
-    config.x2y = traces[i].x2y;
+    online::OnlineConfig config = spec->ToOnlineConfig();
     config.capacity = traces[i].initial_capacity;
-    config.policy_spec = *spec;
-    config.delta_matching = *matching;
-    config.measure_matching_gap = *matching_gap != 0;
-    config.plan_options.use_portfolio = *portfolio != 0;
-    service.CreateInstance(key, config, /*translate_trace_ids=*/true);
+    const std::string refused =
+        service.CreateInstance(key, config, /*translate_trace_ids=*/true);
+    if (!refused.empty()) {
+      err << "error: cannot create " << key << ": " << refused << "\n";
+      return 2;
+    }
     service.SubmitBatch(key, std::move(traces[i].updates),
                         static_cast<std::size_t>(*batch));
   }
@@ -1340,29 +1297,24 @@ int CmdSnapshot(const ArgParser& parser, std::ostream& out,
     err << "error: --out=<file> is required\n";
     return 2;
   }
-  const auto spec = LoadPolicySpec(parser, err);
+  const auto spec = LoadInstanceSpec(parser, trace->x2y,
+                                     trace->initial_capacity, err);
   if (!spec.has_value()) return 2;
-  const auto coverage = LoadCoverage(parser, err);
-  if (!coverage.has_value()) return 2;
+  if (spec->budget.bytes_per_window > 0) {
+    err << "error: --churn-budget cannot be snapshotted (the budget's "
+           "deferral queue is not part of the snapshot)\n";
+    return 2;
+  }
   const auto steps = parser.GetUint("steps", trace->updates.size());
   const auto batch = parser.GetUint("batch", 0);
-  const auto portfolio = parser.GetUint("portfolio", 0);
   const auto epoch = parser.GetUint("epoch", 0);
-  if (!steps || !batch || !portfolio || !epoch ||
-      *steps > trace->updates.size()) {
+  if (!steps || !batch || !epoch || *steps > trace->updates.size()) {
     err << "error: bad --steps/--batch/--epoch (steps <= trace length "
         << trace->updates.size() << ")\n";
     return 2;
   }
 
-  online::OnlineConfig config;
-  config.x2y = trace->x2y;
-  config.capacity = trace->initial_capacity;
-  config.policy_spec = *spec;
-  config.coverage = *coverage;
-  config.plan_options.use_portfolio = *portfolio != 0;
-
-  online::OnlineAssigner assigner(config);
+  online::OnlineAssigner assigner(spec->ToOnlineConfig());
   online::ReplayCursor cursor;
   ReplayStats stats;
   if (!ReplayTraceRange(*trace, static_cast<std::size_t>(*steps),
@@ -1439,8 +1391,7 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
     }
     std::map<std::string, durability::StreamState> streams;
     durability::StreamState stream;
-    stream.config = durability::StreamConfig::From(
-        restored->assigner->config(), /*translate=*/true);
+    stream.translate = true;
     stream.assigner = std::move(restored->assigner);
     stream.live_of_trace = std::move(restored->cursor.live_of_trace);
     stream.event_seq = restored->cursor.next_event;
@@ -1559,17 +1510,22 @@ int CmdSimulate(const ArgParser& parser, std::ostream& out,
                 std::ostream& err) {
   const auto trace = LoadTrace(parser.GetString("trace"), err);
   if (!trace.has_value()) return 2;
-  const auto spec = LoadPolicySpec(parser, err);
+  const auto spec = LoadInstanceSpec(parser, trace->x2y,
+                                     trace->initial_capacity, err);
   if (!spec.has_value()) return 2;
+  if (spec->budget.bytes_per_window > 0) {
+    err << "error: simulate does not support --churn-budget (it executes "
+           "every update as it arrives)\n";
+    return 2;
+  }
   const auto shards = parser.GetUint("shards", 1);
   const auto batch = parser.GetUint("batch", 0);
   const auto oracle_every = parser.GetUint("oracle-every", 25);
   const auto max_rows = parser.GetUint("max-rows", 20);
-  const auto portfolio = parser.GetUint("portfolio", 0);
-  if (!shards || !batch || !oracle_every || !max_rows || !portfolio ||
-      *shards == 0 || *shards > 256) {
-    err << "error: bad --shards/--batch/--oracle-every/--max-rows/"
-           "--portfolio (need 1 <= shards <= 256)\n";
+  if (!shards || !batch || !oracle_every || !max_rows || *shards == 0 ||
+      *shards > 256) {
+    err << "error: bad --shards/--batch/--oracle-every/--max-rows "
+           "(need 1 <= shards <= 256)\n";
     return 2;
   }
 
@@ -1577,10 +1533,7 @@ int CmdSimulate(const ArgParser& parser, std::ostream& out,
   obs_session.Init(parser);
 
   sim::SimConfig config;
-  config.online.x2y = trace->x2y;
-  config.online.capacity = trace->initial_capacity;
-  config.online.policy_spec = *spec;
-  config.online.plan_options.use_portfolio = *portfolio != 0;
+  config.online = spec->ToOnlineConfig();
   config.shards = static_cast<std::size_t>(*shards);
   config.batch = static_cast<std::size_t>(*batch);
   config.oracle_every = *oracle_every;
@@ -1649,7 +1602,7 @@ int CmdSimulate(const ArgParser& parser, std::ostream& out,
 
   const online::OnlineTotals& totals = simulator.assigner().totals();
   TablePrinter recon("predicted vs executed reconciliation (" +
-                     spec->name + ")");
+                     spec->policy.name + ")");
   recon.SetHeader({"metric", "predicted", "executed", "match"});
   const auto match = [](uint64_t a, uint64_t b) {
     return a == b ? std::string("yes") : std::string("NO");
@@ -1730,31 +1683,19 @@ void PrintUsage(std::ostream& out) {
          "             [--lo=L] [--hi=H] [--skew=S] [--seed=K]\n"
          "             [--p-add=P] [--p-remove=P] [--p-resize=P]\n"
          "             write an update trace to stdout\n"
-         "  online     --trace=FILE [--policy=drift|never|always|every-n]\n"
-         "             [--replan-threshold=R] [--every-n=N] [--cooldown=N]\n"
-         "             [--validate-every=N] [--portfolio=0|1] [--batch=B]\n"
-         "             [--coverage=triangular|hash] [--wal-out=FILE]\n"
-         "             [--fsync-every=N] [--matching=greedy|hungarian]\n"
-         "             [--matching-gap=0|1]   (measure greedy-vs-exact\n"
-         "             deploy gap; feeds the drift policy)\n"
-         "             [--churn-budget=BYTES] [--budget-window=N]\n"
-         "             (cap repair bytes shipped per window of N events;\n"
-         "             over-budget events defer FIFO)\n"
+         "  online     --trace=FILE [SPEC] [--validate-every=N] [--batch=B]\n"
+         "             [--wal-out=FILE] [--fsync-every=N]\n"
          "             [--metrics-out=FILE]\n"
          "             [--trace-out=FILE] [--profile-out=FILE]\n"
          "             replay a trace through the online assigner\n"
          "  serve      [--kind=a2a|x2y] [--instances=N] [--shards=N]\n"
          "             [--initial=M] [--steps=N] [--q=Q] [--lo=L] [--hi=H]\n"
-         "             [--skew=S] [--seed=K] [--batch=B] [--stats]\n"
-         "             [--policy=...] [--replan-threshold=R] [--every-n=N]\n"
-         "             [--cooldown=N] [--portfolio=0|1] [--wal-dir=DIR]\n"
-         "             [--fsync-every=N] [--rotate-every=N]\n"
+         "             [--skew=S] [--seed=K] [--batch=B] [--stats] [SPEC]\n"
+         "             [--wal-dir=DIR] [--fsync-every=N] [--rotate-every=N]\n"
          "             [--metrics-out=FILE] [--trace-out=FILE]\n"
          "             [--profile-out=FILE]\n"
          "             [--stats-every=MS]  (periodic metrics re-dumps)\n"
          "             [--watchdog-ms=N] [--watchdog-dump=FILE]\n"
-         "             [--churn-budget=BYTES] [--budget-window=N]\n"
-         "             [--matching=greedy|hungarian] [--matching-gap=0|1]\n"
          "             replay one trace per instance across serving shards\n"
          "             --listen=PORT serves the RPC front door instead\n"
          "             (0 = ephemeral; prints the bound port), with\n"
@@ -1764,20 +1705,29 @@ void PrintUsage(std::ostream& out) {
          "[--trace-out=FILE]\n"
          "             crash-recover a serve run from its changelogs\n"
          "  snapshot   --trace=FILE --out=FILE [--steps=K] [--batch=B]\n"
-         "             [--policy=...] [--replan-threshold=R] [--every-n=N]\n"
-         "             [--cooldown=N] [--coverage=...] [--portfolio=0|1]\n"
-         "             [--epoch=E]\n"
+         "             [SPEC] [--epoch=E]\n"
          "             replay a trace prefix and write a binary snapshot\n"
          "  restore    --snapshot=FILE [--trace=FILE] [--validate-every=N]\n"
          "             [--batch=B] [--wal=FILE]\n"
          "             restore a snapshot and continue the replay\n"
-         "  simulate   --trace=FILE [--shards=N] [--batch=B] [--csv=FILE]\n"
-         "             [--policy=...] [--replan-threshold=R] [--every-n=N]\n"
-         "             [--cooldown=N] [--oracle-every=N] [--max-rows=N]\n"
-         "             [--portfolio=0|1] [--metrics-out=FILE]\n"
+         "  simulate   --trace=FILE [SPEC] [--shards=N] [--batch=B]\n"
+         "             [--csv=FILE] [--oracle-every=N] [--max-rows=N]\n"
+         "             [--metrics-out=FILE]\n"
          "             [--trace-out=FILE] [--profile-out=FILE]\n"
          "             execute a trace on the MapReduce engine and\n"
          "             reconcile predicted vs re-shuffled bytes\n"
+         "\n"
+         "SPEC, the instance spec flags (the trace, or serve's --kind/--q,\n"
+         "  gives the shape and capacity):\n"
+         "  [--policy=drift|never|always|every-n] [--replan-threshold=R]\n"
+         "  [--every-n=N] [--cooldown=N] [--portfolio=0|1]\n"
+         "  [--matching=greedy|hungarian] [--matching-gap=0|1]\n"
+         "  (measure the greedy-vs-exact deploy gap; feeds the drift\n"
+         "  policy) [--churn-budget=BYTES] [--budget-window=N] (cap\n"
+         "  repair bytes shipped per window of N events; over-budget\n"
+         "  events defer FIFO). A command that cannot honour a field\n"
+         "  refuses it: a churn budget with --wal-out/--wal-dir, in a\n"
+         "  snapshot, or in simulate exits 2.\n"
          "\n"
          "observability: --metrics-out dumps every registry series at\n"
          "  exit (Prometheus text, or CSV when FILE ends in .csv);\n"
@@ -1806,6 +1756,16 @@ struct CommandSpec {
   std::vector<std::string> flags;
 };
 
+// `flags` plus the instance-spec flags LoadInstanceSpec reads.
+std::vector<std::string> WithSpecFlags(std::vector<std::string> flags) {
+  for (const char* name :
+       {"policy", "replan-threshold", "every-n", "cooldown", "matching",
+        "matching-gap", "portfolio", "churn-budget", "budget-window"}) {
+    flags.push_back(name);
+  }
+  return flags;
+}
+
 const std::vector<CommandSpec>& Commands() {
   static const std::vector<CommandSpec> kCommands = {
       {"gen", CmdGen, {"m", "lo", "hi", "seed", "skew", "dist"}},
@@ -1822,28 +1782,25 @@ const std::vector<CommandSpec>& Commands() {
        {"kind", "shape", "initial", "steps", "q", "lo", "hi", "skew",
         "seed", "p-add", "p-remove", "p-resize"}},
       {"online", CmdOnline,
-       {"trace", "policy", "replan-threshold", "every-n", "cooldown",
-        "validate-every", "portfolio", "batch", "coverage", "wal-out",
-        "fsync-every", "churn-budget", "budget-window", "matching",
-        "matching-gap", "metrics-out", "trace-out", "profile-out"}},
+       WithSpecFlags({"trace", "validate-every", "batch", "wal-out",
+                      "fsync-every", "metrics-out", "trace-out",
+                      "profile-out"})},
       {"serve", CmdServe,
-       {"kind", "instances", "shards", "initial", "steps", "q", "lo", "hi",
-        "skew", "seed", "batch", "stats", "policy", "replan-threshold",
-        "every-n", "cooldown", "portfolio", "wal-dir", "fsync-every",
-        "rotate-every", "churn-budget", "budget-window", "matching",
-        "matching-gap", "listen", "serve-ms", "max-depth", "metrics-out",
-        "trace-out", "profile-out", "stats-every", "watchdog-ms",
-        "watchdog-dump"}},
+       WithSpecFlags({"kind", "instances", "shards", "initial", "steps",
+                      "q", "lo", "hi", "skew", "seed", "batch", "stats",
+                      "wal-dir", "fsync-every", "rotate-every", "listen",
+                      "serve-ms", "max-depth", "metrics-out", "trace-out",
+                      "profile-out", "stats-every", "watchdog-ms",
+                      "watchdog-dump"})},
       {"recover", CmdRecover, {"wal-dir", "metrics-out", "trace-out"}},
       {"snapshot", CmdSnapshot,
-       {"trace", "out", "steps", "batch", "policy", "replan-threshold",
-        "every-n", "cooldown", "coverage", "portfolio", "epoch"}},
+       WithSpecFlags({"trace", "out", "steps", "batch", "epoch"})},
       {"restore", CmdRestore,
        {"snapshot", "trace", "validate-every", "batch", "wal"}},
       {"simulate", CmdSimulate,
-       {"trace", "policy", "replan-threshold", "every-n", "cooldown",
-        "shards", "batch", "oracle-every", "max-rows", "portfolio",
-        "csv", "metrics-out", "trace-out", "profile-out"}},
+       WithSpecFlags({"trace", "shards", "batch", "oracle-every",
+                      "max-rows", "csv", "metrics-out", "trace-out",
+                      "profile-out"})},
   };
   return kCommands;
 }

@@ -25,90 +25,6 @@ uint64_t SteadyNowMs() {
           .count());
 }
 
-void PutStreamConfig(std::string* out, const StreamConfig& config) {
-  PutU8(out, config.x2y ? 1 : 0);
-  PutU8(out, config.full_reassign_on_replan ? 1 : 0);
-  PutU8(out, config.use_portfolio ? 1 : 0);
-  PutU8(out, config.translate ? 1 : 0);
-  PutU8(out, static_cast<uint8_t>(config.coverage));
-  PutF64(out, config.budget_ms);
-  PutString(out, config.policy_spec.name);
-  PutF64(out, config.policy_spec.reducer_drift);
-  PutF64(out, config.policy_spec.comm_drift);
-  PutU64(out, config.policy_spec.max_updates);
-  PutU64(out, config.policy_spec.every_n);
-  PutU64(out, config.policy_spec.cooldown);
-  PutU64(out, config.capacity);
-}
-
-bool GetStreamConfig(BinaryReader* in, StreamConfig* config,
-                     std::string* why) {
-  const auto fail = [why](const char* what) {
-    *why = what;
-    return false;
-  };
-  uint8_t x2y = 0;
-  uint8_t full_reassign = 0;
-  uint8_t use_portfolio = 0;
-  uint8_t translate = 0;
-  uint8_t coverage = 0;
-  if (!in->GetU8(&x2y) || !in->GetU8(&full_reassign) ||
-      !in->GetU8(&use_portfolio) || !in->GetU8(&translate) ||
-      !in->GetU8(&coverage) || !in->GetF64(&config->budget_ms)) {
-    return fail("stream config truncated");
-  }
-  if (x2y > 1 || full_reassign > 1 || use_portfolio > 1 || translate > 1 ||
-      coverage > 1) {
-    return fail("stream config flag out of range");
-  }
-  config->x2y = x2y != 0;
-  config->full_reassign_on_replan = full_reassign != 0;
-  config->use_portfolio = use_portfolio != 0;
-  config->translate = translate != 0;
-  config->coverage = static_cast<online::PairCoverage::Backend>(coverage);
-  if (!in->GetString(&config->policy_spec.name, 64) ||
-      !in->GetF64(&config->policy_spec.reducer_drift) ||
-      !in->GetF64(&config->policy_spec.comm_drift) ||
-      !in->GetU64(&config->policy_spec.max_updates) ||
-      !in->GetU64(&config->policy_spec.every_n) ||
-      !in->GetU64(&config->policy_spec.cooldown) ||
-      !in->GetU64(&config->capacity)) {
-    return fail("stream config truncated (policy)");
-  }
-  if (online::MakePolicy(config->policy_spec) == nullptr) {
-    return fail("stream config holds an unknown policy");
-  }
-  if (config->capacity == 0 || config->capacity > online::kMaxCapacity) {
-    return fail("stream config capacity out of range");
-  }
-  return true;
-}
-
-void PutUpdate(std::string* out, const online::Update& update) {
-  PutU8(out, static_cast<uint8_t>(update.kind));
-  PutU8(out, static_cast<uint8_t>(update.side));
-  PutU32(out, update.id);
-  PutU64(out, update.value);
-}
-
-bool GetUpdate(BinaryReader* in, online::Update* update, std::string* why) {
-  uint8_t kind = 0;
-  uint8_t side = 0;
-  if (!in->GetU8(&kind) || !in->GetU8(&side) || !in->GetU32(&update->id) ||
-      !in->GetU64(&update->value)) {
-    *why = "update truncated";
-    return false;
-  }
-  if (kind > static_cast<uint8_t>(online::UpdateKind::kSetCapacity) ||
-      side > 1) {
-    *why = "update kind/side out of range";
-    return false;
-  }
-  update->kind = static_cast<online::UpdateKind>(kind);
-  update->side = static_cast<online::Side>(side);
-  return true;
-}
-
 std::string EncodePayload(const LogRecord& record) {
   std::string payload;
   PutU8(&payload, static_cast<uint8_t>(record.kind));
@@ -117,12 +33,13 @@ std::string EncodePayload(const LogRecord& record) {
   payload.append(record.key);
   switch (record.kind) {
     case RecordKind::kCreate:
-      PutStreamConfig(&payload, record.config);
+      PutU8(&payload, record.translate ? 1 : 0);
+      online::PutSpec(&payload, record.spec);
       break;
     case RecordKind::kApplied:
     case RecordKind::kRejected:
     case RecordKind::kSkipped:
-      PutUpdate(&payload, record.update);
+      online::PutUpdate(&payload, record.update);
       break;
     case RecordKind::kCheckpoint:
       break;
@@ -151,13 +68,20 @@ bool DecodePayload(std::string_view payload, LogRecord* record,
   }
   record->key.assign(key);
   switch (record->kind) {
-    case RecordKind::kCreate:
-      if (!GetStreamConfig(&in, &record->config, why)) return false;
+    case RecordKind::kCreate: {
+      uint8_t translate = 0;
+      if (!in.GetU8(&translate) || translate > 1) {
+        *why = "create record translate flag truncated or out of range";
+        return false;
+      }
+      record->translate = translate != 0;
+      if (!online::GetSpec(&in, &record->spec, why)) return false;
       break;
+    }
     case RecordKind::kApplied:
     case RecordKind::kRejected:
     case RecordKind::kSkipped:
-      if (!GetUpdate(&in, &record->update, why)) return false;
+      if (!online::GetUpdate(&in, &record->update, why)) return false;
       break;
     case RecordKind::kCheckpoint:
       break;
@@ -171,41 +95,14 @@ bool DecodePayload(std::string_view payload, LogRecord* record,
 
 }  // namespace
 
-StreamConfig StreamConfig::From(const online::OnlineConfig& config,
-                                bool translate) {
-  StreamConfig out;
-  out.x2y = config.x2y;
-  out.full_reassign_on_replan = config.full_reassign_on_replan;
-  out.use_portfolio = config.plan_options.use_portfolio;
-  out.translate = translate;
-  out.coverage = config.coverage;
-  out.budget_ms = config.plan_options.budget_ms;
-  out.policy_spec = config.policy_spec;
-  out.capacity = config.capacity;
-  return out;
-}
-
-online::OnlineConfig StreamConfig::ToOnlineConfig(
-    std::shared_ptr<planner::PlannerService> shared_planner) const {
-  online::OnlineConfig config;
-  config.x2y = x2y;
-  config.full_reassign_on_replan = full_reassign_on_replan;
-  config.plan_options.use_portfolio = use_portfolio;
-  config.coverage = coverage;
-  config.plan_options.budget_ms = budget_ms;
-  config.policy_spec = policy_spec;
-  config.capacity = capacity;
-  config.shared_planner = std::move(shared_planner);
-  return config;
-}
-
 LogRecord LogRecord::Create(std::string key, uint64_t seq,
-                            StreamConfig config) {
+                            online::InstanceSpec spec, bool translate) {
   LogRecord record;
   record.kind = RecordKind::kCreate;
   record.key = std::move(key);
   record.seq = seq;
-  record.config = std::move(config);
+  record.spec = std::move(spec);
+  record.translate = translate;
   return record;
 }
 

@@ -20,11 +20,16 @@
 //
 // Record kinds and bodies:
 //
-//   kCreate     body = StreamConfig     instance (re)created
+//   kCreate     body = translate u8 | InstanceSpec
+//                                       instance (re)created
 //   kApplied    body = Update           event accepted by the assigner
 //   kRejected   body = Update           event refused (still counted)
 //   kSkipped    body = Update           event dropped by id translation
 //   kCheckpoint body = empty            explicit policy decision point
+//
+// The kCreate spec uses the one spec codec (online/spec.h) and the
+// events the one update codec next to it; `translate` is the serving-
+// only bit saying the stream translates trace ids.
 //
 // `seq` is the per-key record ordinal: kApplied/kRejected/kSkipped
 // carry the position of the event in the key's stream (1-based);
@@ -59,44 +64,20 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "online/assigner.h"
+#include "online/spec.h"
 #include "online/trace.h"
 #include "util/fs.h"
 
 namespace msp::durability {
 
-/// Current changelog format version.
-inline constexpr uint32_t kChangelogVersion = 1;
+/// Current changelog format version. Version 2 stores the kCreate
+/// config as an InstanceSpec; version-1 logs are refused.
+inline constexpr uint32_t kChangelogVersion = 2;
 
 /// Hard cap on one record's payload (a record holds one update or one
-/// stream config — kilobytes at most; a corrupt length field must not
+/// instance spec — kilobytes at most; a corrupt length field must not
 /// trigger a giant allocation).
 inline constexpr uint32_t kMaxRecordPayload = 1u << 20;
-
-/// Serializable subset of online::OnlineConfig — everything a replayed
-/// kCreate needs to rebuild an equivalent assigner. Live policy
-/// objects and planner handles are not serializable; durable streams
-/// configure policies through PolicySpec, exactly like snapshots.
-struct StreamConfig {
-  bool x2y = false;
-  bool full_reassign_on_replan = false;
-  bool use_portfolio = false;
-  /// Whether the instance translates trace ids (serving replay mode).
-  bool translate = false;
-  online::PairCoverage::Backend coverage =
-      online::PairCoverage::Backend::kTriangular;
-  double budget_ms = 0.0;
-  online::PolicySpec policy_spec;
-  InputSize capacity = 0;
-
-  static StreamConfig From(const online::OnlineConfig& config,
-                           bool translate);
-  /// Inverse of From; `shared_planner` may be null (private planner).
-  online::OnlineConfig ToOnlineConfig(
-      std::shared_ptr<planner::PlannerService> shared_planner) const;
-
-  bool operator==(const StreamConfig&) const = default;
-};
 
 enum class RecordKind : uint8_t {
   kCreate = 0,
@@ -107,17 +88,19 @@ enum class RecordKind : uint8_t {
 };
 
 /// One changelog record. Only the fields of the active kind are
-/// meaningful (update for kApplied/kRejected/kSkipped, config for
-/// kCreate).
+/// meaningful (update for kApplied/kRejected/kSkipped, spec and
+/// translate for kCreate).
 struct LogRecord {
   RecordKind kind = RecordKind::kApplied;
   uint64_t seq = 0;
   std::string key;
   online::Update update;
-  StreamConfig config;
+  online::InstanceSpec spec;
+  /// Whether the instance translates trace ids (serving replay mode).
+  bool translate = false;
 
   static LogRecord Create(std::string key, uint64_t seq,
-                          StreamConfig config);
+                          online::InstanceSpec spec, bool translate);
   static LogRecord Event(RecordKind kind, std::string key, uint64_t seq,
                          const online::Update& update);
   static LogRecord Checkpoint(std::string key, uint64_t seq);

@@ -68,10 +68,17 @@ bool ReplayRecords(const std::vector<LogRecord>& records,
         // seq == event_seq: the live run re-created this key here;
         // replaying the create reproduces that exactly.
       }
+      if (record.spec.budget.bytes_per_window != 0) {
+        // Budgets are refused on WAL-attached shards; a log holding
+        // one was not written by this system.
+        return fail("changelog create of '" + record.key +
+                    "' holds a churn budget");
+      }
+      online::OnlineConfig config = record.spec.ToOnlineConfig();
+      config.shared_planner = shared_planner;
       StreamState state;
-      state.config = record.config;
-      state.assigner = std::make_unique<online::OnlineAssigner>(
-          record.config.ToOnlineConfig(shared_planner));
+      state.translate = record.translate;
+      state.assigner = std::make_unique<online::OnlineAssigner>(config);
       state.event_seq = record.seq;
       (*streams)[record.key] = std::move(state);
       ++tally->creates;
@@ -128,7 +135,7 @@ bool ReplayRecords(const std::vector<LogRecord>& records,
                   (result.applied ? "applied" : "rejected") +
                   (result.error.empty() ? "" : " (" + result.error + ")"));
     }
-    if (stream.config.translate &&
+    if (stream.translate &&
         record.update.kind == online::UpdateKind::kAddInput) {
       stream.live_of_trace.push_back(result.applied ? result.new_id
                                                     : std::nullopt);
@@ -313,8 +320,7 @@ std::unique_ptr<ShardWal> ShardWal::Open(
         break;
       }
       StreamState state;
-      state.config = StreamConfig::From(restored->assigner->config(),
-                                        entry.translate);
+      state.translate = entry.translate;
       state.assigner = std::move(restored->assigner);
       state.live_of_trace = std::move(restored->cursor.live_of_trace);
       state.event_seq = restored->cursor.next_event;
@@ -413,7 +419,7 @@ std::unique_ptr<ShardWal> ShardWal::Open(
   for (const auto& [key, state] : streams) {
     ImageEntry entry;
     entry.key = key;
-    entry.translate = state.config.translate;
+    entry.translate = state.translate;
     online::ReplayCursor cursor;
     cursor.next_event = state.event_seq;
     cursor.live_of_trace = state.live_of_trace;

@@ -87,9 +87,9 @@ struct WalOptions {
 /// One recovered (or live) durable stream: the assigner plus its
 /// replay position. `event_seq` is the per-key record ordinal (see
 /// changelog.h); `live_of_trace` is the trace-id translation table
-/// for translate-mode streams.
+/// for translate-mode streams (`translate`).
 struct StreamState {
-  StreamConfig config;
+  bool translate = false;
   std::unique_ptr<online::OnlineAssigner> assigner;
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t event_seq = 0;

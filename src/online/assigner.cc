@@ -66,7 +66,6 @@ OnlineAssigner::OnlineAssigner(const OnlineConfig& config)
   state_.capacity = config.capacity;
   state_.partner_set = config.partner_set;
   state_.repair_storage = config.repair_storage;
-  state_.cover.Reset(config.coverage, 0);
   if (obs::Registry* reg = config_.metrics) {
     for (const UpdateKind kind :
          {UpdateKind::kAddInput, UpdateKind::kRemoveInput,
@@ -388,7 +387,6 @@ bool OnlineAssigner::Seed(const std::vector<InputSize>& sizes,
     state_.capacity = config_.capacity;
     state_.partner_set = config_.partner_set;
     state_.repair_storage = config_.repair_storage;
-    state_.cover.Reset(config_.coverage, 0);
     if (error != nullptr) *error = why;
     return false;
   };

@@ -50,23 +50,21 @@
 
 namespace msp::online {
 
-/// Construction-time configuration.
+/// Construction-time configuration. The behaviour-changing fields are
+/// exactly those of online::InstanceSpec (spec.h), the serializable
+/// form every CLI, RPC, changelog and snapshot boundary carries; the
+/// rest are performance knobs and host wiring.
 struct OnlineConfig {
   /// Problem shape: false = A2A (every pair), true = X2Y (cross pairs).
   bool x2y = false;
   /// Initial reducer capacity q. Must be positive.
   InputSize capacity = 0;
   /// Escalation policy; null builds one from `policy_spec`. Directly
-  /// supplied policies are NOT captured by snapshots — snapshot/restore
-  /// flows should configure through `policy_spec` instead.
+  /// supplied policies are NOT captured by snapshots or changelogs —
+  /// durable flows configure through `policy_spec` instead.
   std::shared_ptr<ReplanPolicy> policy;
-  /// Declarative policy selection, used when `policy` is null and
-  /// stored verbatim in snapshots.
+  /// Declarative policy selection, used when `policy` is null.
   PolicySpec policy_spec;
-  /// Pair-coverage backend of the LiveState (see coverage.h). The
-  /// dense triangular array is the fast default; the hash map is the
-  /// pre-refactor baseline kept for benchmarks and differential tests.
-  PairCoverage::Backend coverage = PairCoverage::Backend::kTriangular;
   /// Backend of CoverStar's uncovered-partner set on the add/regrow
   /// path (see repair.h). The bitmap over alive ranks is the fast
   /// default; the unordered_set is the pre-refactor baseline kept for
@@ -85,7 +83,7 @@ struct OnlineConfig {
   /// the exact Hungarian assignment is the optimal baseline the greedy
   /// matcher is measured against (O(n^3) in the reducer count — fine
   /// at replan scale, pointless on the repair path, which never calls
-  /// it). Not captured by snapshots.
+  /// it).
   DeltaMatching delta_matching = DeltaMatching::kGreedy;
   /// When true, every deployed re-plan runs BOTH matching backends and
   /// records how many bytes the greedy pairing over-ships relative to
@@ -94,7 +92,6 @@ struct OnlineConfig {
   /// `PolicySignals::matching_gap_bytes`). Costs one extra O(n^3)
   /// matching per deploy — cheap at replan cadence, so serving hosts
   /// can leave it on to let drift policies discount deploy-cost noise.
-  /// Not captured by snapshots (a measurement knob, like the backends).
   bool measure_matching_gap = false;
   /// When true, a re-plan counts every copy of the fresh schema as
   /// moved (the naive "reassign everything" deployment) instead of the

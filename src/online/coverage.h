@@ -2,35 +2,25 @@
 //
 // LiveState must answer "in how many reducers do inputs a and b
 // currently meet?" on every copy placed or deleted — the hottest loop
-// of the repair engine. Two interchangeable backends:
-//
-//  * kTriangular — a dense lower-triangular counter array indexed by
-//    the *alive ranks* of the pair (the positions in LiveState's
-//    swap-pop alive-id index). Every required pair of an alive A2A
-//    instance is covered, so the count structure is inherently dense:
-//    the triangle stores exactly one uint32 per alive pair, and
-//    increment/decrement/lookup are two array reads of arithmetic-
-//    computed offsets — no hashing, no pointer chasing, no per-entry
-//    allocation. Registering the n-th alive input appends one zeroed
-//    row; swap-pop removal moves the last rank's row into the freed
-//    slot, mirroring the alive-id index exactly.
-//  * kHash — the original unordered_map keyed by packed input-id
-//    pairs. Kept as the benchmark baseline (bench_o1_online /
-//    bench_s1_serving compare repair latency across backends) and as
-//    a differential-testing foil for the triangular layout.
-//
-// Counts are keyed by *rank* in the triangular backend and by *id* in
-// the hash backend, so every call site passes both (LiveState owns the
-// id -> rank translation).
+// of the repair engine. The counters are a dense lower-triangular
+// array indexed by the *alive ranks* of the pair (the positions in
+// LiveState's swap-pop alive-id index). Every required pair of an
+// alive A2A instance is covered, so the count structure is inherently
+// dense: the triangle stores exactly one uint32 per alive pair, and
+// increment/decrement/lookup are two array reads of arithmetic-
+// computed offsets — no hashing, no pointer chasing, no per-entry
+// allocation. Registering the n-th alive input appends one zeroed
+// row; swap-pop removal moves the last rank's row into the freed
+// slot, mirroring the alive-id index exactly. LiveState owns the
+// id -> rank translation; tests check the counts against a brute-force
+// recount of the reducers.
 
 #ifndef MSP_ONLINE_COVERAGE_H_
 #define MSP_ONLINE_COVERAGE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "core/instance.h"
 #include "util/check.h"
 
 namespace msp::online {
@@ -38,30 +28,20 @@ namespace msp::online {
 /// See the file comment. Not thread-safe (owned by one LiveState).
 class PairCoverage {
  public:
-  enum class Backend : uint8_t { kTriangular = 0, kHash = 1 };
-
-  /// Drops every count and switches backend; `num_ranks` pre-sizes the
-  /// triangle for a known alive count (snapshot restore, bulk seed).
-  void Reset(Backend backend, std::size_t num_ranks) {
-    backend_ = backend;
+  /// Drops every count; `num_ranks` pre-sizes the triangle for a known
+  /// alive count (snapshot restore, bulk seed).
+  void Reset(std::size_t num_ranks) {
     num_ranks_ = num_ranks;
-    tri_.clear();
-    hash_.clear();
-    if (backend_ == Backend::kTriangular) {
-      tri_.assign(TriSize(num_ranks), 0);
-    }
+    tri_.assign(TriSize(num_ranks), 0);
   }
 
-  Backend backend() const { return backend_; }
   std::size_t num_ranks() const { return num_ranks_; }
 
   /// Registers one more alive rank (the new highest). The triangle
   /// grows by exactly one zeroed row, appended in place.
   void PushRank() {
     ++num_ranks_;
-    if (backend_ == Backend::kTriangular) {
-      tri_.resize(TriSize(num_ranks_), 0);
-    }
+    tri_.resize(TriSize(num_ranks_), 0);
   }
 
   /// Swap-pop removal of rank `pos`, mirroring LiveState's alive-id
@@ -71,59 +51,34 @@ class PairCoverage {
   void SwapPopRank(uint32_t pos) {
     MSP_DCHECK(num_ranks_ > 0 && pos < num_ranks_);
     const uint32_t last = static_cast<uint32_t>(num_ranks_ - 1);
-    if (backend_ == Backend::kTriangular) {
-      if (pos != last) {
-        for (uint32_t r = 0; r < last; ++r) {
-          if (r == pos) continue;
-          MSP_DCHECK(tri_[TriIndex(pos, r)] == 0)
-              << "unregistering a rank with live pair coverage";
-          tri_[TriIndex(pos, r)] = tri_[TriIndex(last, r)];
-        }
+    if (pos != last) {
+      for (uint32_t r = 0; r < last; ++r) {
+        if (r == pos) continue;
+        MSP_DCHECK(tri_[TriIndex(pos, r)] == 0)
+            << "unregistering a rank with live pair coverage";
+        tri_[TriIndex(pos, r)] = tri_[TriIndex(last, r)];
       }
-      tri_.resize(TriSize(last));
     }
-    // kHash is keyed by input ids (never reused), so rank movement is
-    // free: the departed id's entries were erased when they hit zero.
+    tri_.resize(TriSize(last));
     num_ranks_ = last;
   }
 
-  uint32_t Count(InputId a, InputId b, uint32_t rank_a,
-                 uint32_t rank_b) const {
-    if (backend_ == Backend::kTriangular) {
-      return tri_[TriIndex(rank_a, rank_b)];
-    }
-    const auto it = hash_.find(PackPair(a, b));
-    return it == hash_.end() ? 0 : it->second;
+  uint32_t Count(uint32_t rank_a, uint32_t rank_b) const {
+    return tri_[TriIndex(rank_a, rank_b)];
   }
 
-  void Increment(InputId a, InputId b, uint32_t rank_a, uint32_t rank_b) {
-    if (backend_ == Backend::kTriangular) {
-      ++tri_[TriIndex(rank_a, rank_b)];
-      return;
-    }
-    ++hash_[PackPair(a, b)];
+  void Increment(uint32_t rank_a, uint32_t rank_b) {
+    ++tri_[TriIndex(rank_a, rank_b)];
   }
 
-  void Decrement(InputId a, InputId b, uint32_t rank_a, uint32_t rank_b) {
-    if (backend_ == Backend::kTriangular) {
-      MSP_DCHECK(tri_[TriIndex(rank_a, rank_b)] > 0);
-      --tri_[TriIndex(rank_a, rank_b)];
-      return;
-    }
-    const auto it = hash_.find(PackPair(a, b));
-    MSP_DCHECK(it != hash_.end() && it->second > 0);
-    if (--it->second == 0) hash_.erase(it);
+  void Decrement(uint32_t rank_a, uint32_t rank_b) {
+    MSP_DCHECK(tri_[TriIndex(rank_a, rank_b)] > 0);
+    --tri_[TriIndex(rank_a, rank_b)];
   }
 
   /// Heap bytes held by the counters (reported by the serving stats).
   uint64_t footprint_bytes() const {
-    if (backend_ == Backend::kTriangular) {
-      return tri_.capacity() * sizeof(uint32_t);
-    }
-    // Rough per-node estimate for the separate-chaining unordered_map.
-    return hash_.size() * (sizeof(uint64_t) + sizeof(uint32_t) +
-                           2 * sizeof(void*)) +
-           hash_.bucket_count() * sizeof(void*);
+    return tri_.capacity() * sizeof(uint32_t);
   }
 
  private:
@@ -140,16 +95,8 @@ class PairCoverage {
     return static_cast<std::size_t>(hi * (hi - 1) / 2 + lo);
   }
 
-  static uint64_t PackPair(InputId a, InputId b) {
-    const uint64_t lo = a < b ? a : b;
-    const uint64_t hi = a < b ? b : a;
-    return (lo << 32) | hi;
-  }
-
-  Backend backend_ = Backend::kTriangular;
   std::size_t num_ranks_ = 0;
   std::vector<uint32_t> tri_;
-  std::unordered_map<uint64_t, uint32_t> hash_;
 };
 
 }  // namespace msp::online

@@ -399,7 +399,7 @@ void LiveState::RebuildDerived() {
     for (uint64_t& uid : reducer_uids) uid = next_reducer_uid++;
   }
   loads.assign(reducers.size(), 0);
-  cover.Reset(cover.backend(), alive_ids.size());
+  cover.Reset(alive_ids.size());
   for (std::size_t r = 0; r < reducers.size(); ++r) {
     Reducer& reducer = reducers[r];
     std::sort(reducer.begin(), reducer.end());
@@ -512,11 +512,12 @@ void RepairCapacity(LiveState* s, InputSize new_capacity, ChurnStats* churn) {
       InputId victim = reducer.front();
       std::size_t victim_unique = ~std::size_t{0};
       for (InputId candidate : reducer) {
+        // Branch-free count: whether a pair is covered only here is
+        // data-dependent, so a branch on it mispredicts.
         std::size_t unique = 0;
         for (InputId other : reducer) {
-          if (s->IsPartner(candidate, other) &&
-              s->CoverCount(candidate, other) == 1) {
-            ++unique;
+          if (s->IsPartner(candidate, other)) {
+            unique += s->CoverCount(candidate, other) == 1 ? 1 : 0;
           }
         }
         if (unique < victim_unique ||

@@ -147,8 +147,8 @@ struct LiveState {
   /// exact itemization. The cluster simulator attaches one per step.
   ReshufflePlan* move_log = nullptr;
   /// Pair-coverage counts: (a, b) -> number of reducers where a and b
-  /// currently meet. Dense triangular array over alive ranks by
-  /// default; see coverage.h for the layout and the hash baseline.
+  /// currently meet. Dense triangular array over alive ranks; see
+  /// coverage.h for the layout.
   PairCoverage cover;
 
   /// True when (a, b) is a required output: distinct inputs, and for
@@ -158,15 +158,15 @@ struct LiveState {
   }
 
   uint32_t CoverCount(InputId a, InputId b) const {
-    return cover.Count(a, b, alive_pos[a], alive_pos[b]);
+    return cover.Count(alive_pos[a], alive_pos[b]);
   }
 
   void IncrementCover(InputId a, InputId b) {
-    cover.Increment(a, b, alive_pos[a], alive_pos[b]);
+    cover.Increment(alive_pos[a], alive_pos[b]);
   }
 
   void DecrementCover(InputId a, InputId b) {
-    cover.Decrement(a, b, alive_pos[a], alive_pos[b]);
+    cover.Decrement(alive_pos[a], alive_pos[b]);
   }
 
   std::size_t num_alive() const { return alive_ids.size(); }

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "online/spec.h"
 #include "util/binary_io.h"
-#include "util/check.h"
 #include "util/fnv.h"
 
 namespace msp::online {
@@ -43,7 +43,6 @@ constexpr uint64_t kMaxCount = uint64_t{1} << 32;
 std::string SnapshotCodec::Serialize(const OnlineAssigner& assigner,
                                      const ReplayCursor& cursor,
                                      uint64_t epoch) {
-  const OnlineConfig& config = assigner.config_;
   const LiveState& state = assigner.state_;
 
   std::string payload;
@@ -51,18 +50,7 @@ std::string SnapshotCodec::Serialize(const OnlineAssigner& assigner,
   // it — a flipped epoch must not defeat stale-pair detection) ---
   PutU64(&payload, epoch);
   // --- configuration ---
-  PutU8(&payload, config.x2y ? 1 : 0);
-  PutU8(&payload, static_cast<uint8_t>(config.coverage));
-  PutU8(&payload, config.full_reassign_on_replan ? 1 : 0);
-  PutU8(&payload, config.plan_options.use_portfolio ? 1 : 0);
-  PutF64(&payload, config.plan_options.budget_ms);
-  PutString(&payload, config.policy_spec.name);
-  PutF64(&payload, config.policy_spec.reducer_drift);
-  PutF64(&payload, config.policy_spec.comm_drift);
-  PutU64(&payload, config.policy_spec.max_updates);
-  PutU64(&payload, config.policy_spec.every_n);
-  PutU64(&payload, config.policy_spec.cooldown);
-  PutU64(&payload, config.capacity);
+  PutSpec(&payload, InstanceSpec::Of(assigner.config_));
 
   // --- live state ---
   PutU64(&payload, state.capacity);
@@ -87,6 +75,7 @@ std::string SnapshotCodec::Serialize(const OnlineAssigner& assigner,
   PutU64(&payload, assigner.updates_since_replan_);
   PutU64(&payload, assigner.updates_since_decision_);
   PutU64(&payload, assigner.last_fresh_reducers_);
+  PutU64(&payload, assigner.last_matching_gap_bytes_);
 
   // --- replay cursor ---
   PutU64(&payload, cursor.next_event);
@@ -144,47 +133,15 @@ std::optional<SnapshotCodec::Restored> SnapshotCodec::Restore(
   if (!in.GetU64(&epoch)) {
     return fail("snapshot payload truncated (epoch)");
   }
-  OnlineConfig config;
-  uint8_t x2y = 0;
-  uint8_t coverage = 0;
-  uint8_t full_reassign = 0;
-  uint8_t use_portfolio = 0;
-  if (!in.GetU8(&x2y) || !in.GetU8(&coverage) || !in.GetU8(&full_reassign) ||
-      !in.GetU8(&use_portfolio) || !in.GetF64(&config.plan_options.budget_ms)) {
-    return fail("snapshot payload truncated (config)");
+  InstanceSpec spec;
+  std::string why;
+  if (!GetSpec(&in, &spec, &why)) {
+    return fail("snapshot config rejected: " + why);
   }
-  if (x2y > 1 || coverage > 1 || full_reassign > 1 || use_portfolio > 1) {
-    return fail("snapshot corrupted (config flag out of range)");
-  }
-  config.x2y = x2y != 0;
-  config.coverage = static_cast<PairCoverage::Backend>(coverage);
-  config.full_reassign_on_replan = full_reassign != 0;
-  config.plan_options.use_portfolio = use_portfolio != 0;
-  if (!in.GetString(&config.policy_spec.name, 64) ||
-      !in.GetF64(&config.policy_spec.reducer_drift) ||
-      !in.GetF64(&config.policy_spec.comm_drift) ||
-      !in.GetU64(&config.policy_spec.max_updates) ||
-      !in.GetU64(&config.policy_spec.every_n) ||
-      !in.GetU64(&config.policy_spec.cooldown) ||
-      !in.GetU64(&config.capacity)) {
-    return fail("snapshot payload truncated (policy)");
-  }
-  if (MakePolicy(config.policy_spec) == nullptr) {
-    return fail("snapshot holds an unknown policy '" +
-                config.policy_spec.name + "'");
-  }
-  if (config.policy_spec.name == "drift" &&
-      (config.policy_spec.reducer_drift < 1.0 ||
-       config.policy_spec.comm_drift < 1.0 ||
-       config.policy_spec.max_updates == 0)) {
-    return fail("snapshot corrupted (drift policy parameters)");
-  }
-  if (config.policy_spec.name == "every-n" &&
-      config.policy_spec.every_n == 0) {
-    return fail("snapshot corrupted (every-n period)");
-  }
-  if (config.capacity == 0 || config.capacity > kMaxCapacity) {
-    return fail("snapshot corrupted (initial capacity out of range)");
+  if (spec.budget.bytes_per_window != 0) {
+    // The budget wraps the assigner; its deferral queue is not
+    // snapshotted, so a budgeted spec cannot be restored faithfully.
+    return fail("snapshot config holds a churn budget");
   }
 
   uint64_t capacity = 0;
@@ -262,11 +219,13 @@ std::optional<SnapshotCodec::Restored> SnapshotCodec::Restore(
   uint64_t updates_since_replan = 0;
   uint64_t updates_since_decision = 0;
   uint64_t last_fresh_reducers = 0;
+  uint64_t last_matching_gap_bytes = 0;
   if (!in.GetU64(&totals.updates) || !in.GetU64(&totals.rejected) ||
       !in.GetU64(&totals.repairs) || !in.GetU64(&totals.replans) ||
       !GetChurn(&in, &totals.churn) || !in.GetU64(&updates_since_replan) ||
       !in.GetU64(&updates_since_decision) ||
-      !in.GetU64(&last_fresh_reducers)) {
+      !in.GetU64(&last_fresh_reducers) ||
+      !in.GetU64(&last_matching_gap_bytes)) {
     return fail("snapshot payload truncated (counters)");
   }
 
@@ -290,6 +249,7 @@ std::optional<SnapshotCodec::Restored> SnapshotCodec::Restore(
     return fail("snapshot corrupted (trailing payload bytes)");
   }
 
+  OnlineConfig config = spec.ToOnlineConfig();
   config.shared_planner = std::move(shared_planner);
   Restored restored;
   restored.assigner = std::make_unique<OnlineAssigner>(config);
@@ -320,6 +280,7 @@ std::optional<SnapshotCodec::Restored> SnapshotCodec::Restore(
   assigner.updates_since_replan_ = updates_since_replan;
   assigner.updates_since_decision_ = updates_since_decision;
   assigner.last_fresh_reducers_ = last_fresh_reducers;
+  assigner.last_matching_gap_bytes_ = last_matching_gap_bytes;
   return std::optional<Restored>(std::move(restored));
 }
 

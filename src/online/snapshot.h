@@ -4,14 +4,14 @@
 // full update trace to rebuild its live schemas. A snapshot captures
 // everything a bit-identical continuation needs:
 //
-//  * the assigner configuration (shape, initial capacity, policy spec,
-//    coverage backend, deployment mode, plan options);
+//  * the assigner configuration, as its InstanceSpec (spec.h) in the
+//    one spec codec;
 //  * the live state (current capacity, sizes, sides, alive flags, the
 //    alive-id index *in its exact swap-pop order* — the repair engine's
 //    partner scans iterate it, so the order shapes every later repair —
 //    and the reducer member lists);
 //  * the lifetime counters (churn ledger, update/repair/replan counts,
-//    drift clock, hysteresis memory);
+//    drift clock, hysteresis memory, last measured matching gap);
 //  * an optional replay cursor (next trace event + the trace-id ->
 //    live-id translation built so far) so a CLI replay can resume.
 //
@@ -38,8 +38,10 @@
 namespace msp::online {
 
 /// Current snapshot format version. Version 2 added the rotation
-/// epoch (see below); version-1 files are rejected with a clear error.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// epoch (see below); version 3 stores the config as an InstanceSpec
+/// and the last matching gap. Older files are rejected with a clear
+/// error.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Where a trace replay stood when the snapshot was taken. `next_event`
 /// indexes into UpdateTrace::updates; `live_of_trace` maps each `add`

@@ -1,5 +1,6 @@
 #include "rpc/protocol.h"
 
+#include "online/spec.h"
 #include "util/binary_io.h"
 #include "util/fnv.h"
 
@@ -10,78 +11,6 @@ namespace {
 constexpr uint64_t kMaxKeyLen = 4096;
 constexpr uint64_t kMaxErrorLen = 4096;
 constexpr uint32_t kMaxStatsShards = 65536;
-
-void PutUpdate(std::string* out, const online::Update& update) {
-  PutU8(out, static_cast<uint8_t>(update.kind));
-  PutU8(out, static_cast<uint8_t>(update.side));
-  PutU32(out, update.id);
-  PutU64(out, update.value);
-}
-
-bool GetUpdate(BinaryReader* in, online::Update* update,
-               std::string* error) {
-  uint8_t kind = 0;
-  uint8_t side = 0;
-  if (!in->GetU8(&kind) || !in->GetU8(&side) || !in->GetU32(&update->id) ||
-      !in->GetU64(&update->value)) {
-    *error = "update truncated";
-    return false;
-  }
-  if (kind > static_cast<uint8_t>(online::UpdateKind::kSetCapacity) ||
-      side > 1) {
-    *error = "update kind/side out of range";
-    return false;
-  }
-  update->kind = static_cast<online::UpdateKind>(kind);
-  update->side = static_cast<online::Side>(side);
-  return true;
-}
-
-void PutSpec(std::string* out, const InstanceSpec& spec) {
-  PutU8(out, spec.x2y ? 1 : 0);
-  PutU64(out, spec.capacity);
-  PutString(out, spec.policy.name);
-  PutF64(out, spec.policy.reducer_drift);
-  PutF64(out, spec.policy.comm_drift);
-  PutU64(out, spec.policy.max_updates);
-  PutU64(out, spec.policy.every_n);
-  PutU64(out, spec.policy.cooldown);
-  PutU8(out, static_cast<uint8_t>(spec.matching));
-  PutU8(out, spec.measure_matching_gap ? 1 : 0);
-  PutU64(out, spec.budget.window_updates);
-  PutU64(out, spec.budget.bytes_per_window);
-  PutU8(out, spec.use_portfolio ? 1 : 0);
-}
-
-bool GetSpec(BinaryReader* in, InstanceSpec* spec, std::string* error) {
-  uint8_t x2y = 0;
-  uint8_t matching = 0;
-  uint8_t measure_gap = 0;
-  uint8_t portfolio = 0;
-  if (!in->GetU8(&x2y) || !in->GetU64(&spec->capacity) ||
-      !in->GetString(&spec->policy.name, kMaxKeyLen) ||
-      !in->GetF64(&spec->policy.reducer_drift) ||
-      !in->GetF64(&spec->policy.comm_drift) ||
-      !in->GetU64(&spec->policy.max_updates) ||
-      !in->GetU64(&spec->policy.every_n) ||
-      !in->GetU64(&spec->policy.cooldown) || !in->GetU8(&matching) ||
-      !in->GetU8(&measure_gap) ||
-      !in->GetU64(&spec->budget.window_updates) ||
-      !in->GetU64(&spec->budget.bytes_per_window) ||
-      !in->GetU8(&portfolio)) {
-    *error = "instance spec truncated";
-    return false;
-  }
-  if (matching > static_cast<uint8_t>(online::DeltaMatching::kHungarian)) {
-    *error = "instance spec matching out of range";
-    return false;
-  }
-  spec->x2y = x2y != 0;
-  spec->matching = static_cast<online::DeltaMatching>(matching);
-  spec->measure_matching_gap = measure_gap != 0;
-  spec->use_portfolio = portfolio != 0;
-  return true;
-}
 
 bool IsRequestType(MsgType type) {
   switch (type) {
@@ -193,19 +122,20 @@ std::string EncodeRequest(const Request& request) {
   switch (request.type) {
     case MsgType::kCreateInstance:
       PutString(&payload, request.key);
-      PutSpec(&payload, request.spec);
+      online::PutSpec(&payload, request.spec);
       break;
     case MsgType::kSubmit:
       PutString(&payload, request.key);
-      PutUpdate(&payload, request.updates.empty() ? online::Update{}
-                                                  : request.updates[0]);
+      online::PutUpdate(&payload, request.updates.empty()
+                                      ? online::Update{}
+                                      : request.updates[0]);
       break;
     case MsgType::kSubmitBatch:
       PutString(&payload, request.key);
       PutU32(&payload, request.batch_size);
       PutU32(&payload, static_cast<uint32_t>(request.updates.size()));
       for (const online::Update& update : request.updates) {
-        PutUpdate(&payload, update);
+        online::PutUpdate(&payload, update);
       }
       break;
     case MsgType::kQuery:
@@ -241,7 +171,7 @@ bool DecodeRequest(std::string_view payload, Request* request,
         *error = "request key truncated";
         return false;
       }
-      if (!GetSpec(&in, &request->spec, error)) return false;
+      if (!online::GetSpec(&in, &request->spec, error)) return false;
       break;
     case MsgType::kSubmit: {
       online::Update update;
@@ -249,7 +179,7 @@ bool DecodeRequest(std::string_view payload, Request* request,
         *error = "request key truncated";
         return false;
       }
-      if (!GetUpdate(&in, &update, error)) return false;
+      if (!online::GetUpdate(&in, &update, error)) return false;
       request->updates.push_back(update);
       break;
     }
@@ -267,7 +197,7 @@ bool DecodeRequest(std::string_view payload, Request* request,
       request->updates.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         online::Update update;
-        if (!GetUpdate(&in, &update, error)) return false;
+        if (!online::GetUpdate(&in, &update, error)) return false;
         request->updates.push_back(update);
       }
       break;

@@ -42,16 +42,15 @@
 #include <string_view>
 #include <vector>
 
-#include "online/assigner.h"
-#include "online/budget.h"
-#include "online/policy.h"
+#include "online/spec.h"
 #include "online/trace.h"
 
 namespace msp::rpc {
 
 /// "MRPC", little-endian.
 inline constexpr uint32_t kFrameMagic = 0x4350524du;
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Version 2 carries the full InstanceSpec on kCreateInstance.
+inline constexpr uint32_t kProtocolVersion = 2;
 /// magic + version + len + checksum.
 inline constexpr std::size_t kFrameHeaderSize = 4 + 4 + 4 + 8;
 /// Hard cap on one frame's payload: bounds per-connection memory and
@@ -75,23 +74,10 @@ enum class MsgType : uint8_t {
   kError = 20,
 };
 
-/// Everything a remote client may configure on a new instance — the
-/// wire form of the OnlineConfig subset that is serializable (pure
-/// performance knobs keep their server-side defaults).
-struct InstanceSpec {
-  bool x2y = false;
-  uint64_t capacity = 0;
-  online::PolicySpec policy;
-  /// Matching backend of min-move re-plan deploys (delta.h).
-  online::DeltaMatching matching = online::DeltaMatching::kGreedy;
-  /// Measure the greedy-vs-Hungarian deploy gap for the drift policy.
-  bool measure_matching_gap = false;
-  /// Per-instance churn budget (budget.h); bytes 0 = unbudgeted.
-  online::BudgetConfig budget;
-  bool use_portfolio = false;
-
-  bool operator==(const InstanceSpec&) const = default;
-};
+/// Everything a remote client may configure on a new instance: the
+/// one instance spec (online/spec.h), in its one codec. A spec that
+/// fails Validate() is refused at decode with a kError.
+using InstanceSpec = online::InstanceSpec;
 
 struct Request {
   MsgType type = MsgType::kSubmit;

@@ -273,6 +273,7 @@ void RpcServer::HandlePayload(Connection* conn, std::string_view payload) {
   if (!DecodeRequest(payload, &request, &error)) {
     Response response;
     response.type = MsgType::kError;
+    response.req_id = request.req_id;  // 0 when the header was torn
     response.error = "bad request: " + error;
     {
       std::unique_lock<std::mutex> lock(counters_mu_);
@@ -331,32 +332,22 @@ void RpcServer::HandleRequest(Connection* conn, const Request& request) {
 
   switch (request.type) {
     case MsgType::kCreateInstance: {
-      Response response;
-      response.req_id = request.req_id;
-      const InstanceSpec& spec = request.spec;
-      if (spec.capacity == 0) {
-        response.type = MsgType::kError;
-        response.error = "capacity must be positive";
-      } else if (online::MakePolicy(spec.policy) == nullptr) {
-        response.type = MsgType::kError;
-        response.error = "unknown policy '" + spec.policy.name + "'";
-      } else {
-        uint32_t shard = 0;
-        response = AdmitOrOverload(request.key, 0, request.req_id, &shard);
-        if (response.type == MsgType::kOk) {
-          online::OnlineConfig config;
-          config.x2y = spec.x2y;
-          config.capacity = spec.capacity;
-          config.policy_spec = spec.policy;
-          config.delta_matching = spec.matching;
-          config.measure_matching_gap = spec.measure_matching_gap;
-          config.plan_options.use_portfolio = spec.use_portfolio;
-          // RPC updates travel in trace-side id form (protocol.h), so
-          // every remote instance translates — which also satisfies
-          // the budget wrapper's translate requirement.
-          service_->CreateInstance(request.key, std::move(config),
-                                   /*translate_trace_ids=*/true,
-                                   spec.budget);
+      // DecodeRequest already refused a spec failing Validate(); what
+      // is left to refuse is a combination the service cannot honour,
+      // such as a churn budget on a WAL-attached service.
+      uint32_t shard = 0;
+      Response response =
+          AdmitOrOverload(request.key, 0, request.req_id, &shard);
+      if (response.type == MsgType::kOk) {
+        // RPC updates travel in trace-side id form (protocol.h), so
+        // every remote instance translates — which also satisfies the
+        // budget wrapper's translate requirement.
+        const std::string refused = service_->CreateInstance(
+            request.key, request.spec.ToOnlineConfig(),
+            /*translate_trace_ids=*/true, request.spec.budget);
+        if (!refused.empty()) {
+          response.type = MsgType::kError;
+          response.error = refused;
         }
       }
       if (response.type == MsgType::kError) {

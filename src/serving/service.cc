@@ -4,6 +4,7 @@
 #include <ostream>
 #include <utility>
 
+#include "online/spec.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -58,6 +59,12 @@ std::size_t ServingService::ShardOf(const std::string& key) const {
 
 bool ServingService::AttachWal(const durability::WalOptions& options,
                                std::string* error) {
+  if (default_budget_.bytes_per_window > 0) {
+    if (error != nullptr) {
+      *error = "a default churn budget cannot be combined with a WAL";
+    }
+    return false;
+  }
   FileSystem* fs = options.fs != nullptr ? options.fs
                                          : RealFileSystem::Default();
   if (options.recover) {
@@ -97,12 +104,15 @@ bool ServingService::AttachWal(const durability::WalOptions& options,
   return true;
 }
 
-void ServingService::CreateInstance(
+std::string ServingService::CreateInstance(
     const std::string& key, online::OnlineConfig config,
     bool translate_trace_ids, std::optional<online::BudgetConfig> budget) {
-  shards_[ShardOf(key)]->CreateInstance(key, std::move(config),
-                                        translate_trace_ids,
-                                        budget.value_or(default_budget_));
+  const online::BudgetConfig chosen = budget.value_or(default_budget_);
+  const std::string invalid =
+      online::InstanceSpec::Of(config, chosen).Validate();
+  if (!invalid.empty()) return invalid;
+  return shards_[ShardOf(key)]->CreateInstance(key, std::move(config),
+                                               translate_trace_ids, chosen);
 }
 
 void ServingService::Submit(const std::string& key,

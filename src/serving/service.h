@@ -64,8 +64,8 @@ struct ServingConfig {
   /// Default per-instance churn budget (budget.h). `bytes_per_window`
   /// 0 = unbudgeted. Applied to every CreateInstance that does not
   /// pass its own budget; requires translate_trace_ids on those
-  /// instances and is ignored (with a warning) once a WAL is attached
-  /// — see ServingShard::CreateInstance.
+  /// instances. A non-zero default makes AttachWal fail — see
+  /// ServingShard::CreateInstance.
   online::BudgetConfig default_budget;
 };
 
@@ -90,8 +90,8 @@ class ServingService {
   /// every recovered instance is installed on its shard and the
   /// recovery counters land in the per-shard stats. Call right after
   /// construction, before creating instances. Returns false with
-  /// `*error` on open/recovery failure (the service stays usable,
-  /// without durability).
+  /// `*error` on open/recovery failure, or when a default churn budget
+  /// is configured (the service stays usable, without durability).
   bool AttachWal(const durability::WalOptions& options,
                  std::string* error = nullptr);
 
@@ -99,11 +99,15 @@ class ServingService {
   /// by the service's planner. `translate_trace_ids` enables the
   /// update-trace id translation for replayed traces (see shard.h).
   /// `budget` overrides the service-wide default churn budget for this
-  /// instance (nullopt = use `ServingConfig::default_budget`).
-  void CreateInstance(const std::string& key, online::OnlineConfig config,
-                      bool translate_trace_ids = false,
-                      std::optional<online::BudgetConfig> budget =
-                          std::nullopt);
+  /// instance (nullopt = use `ServingConfig::default_budget`). Returns
+  /// why the instance was refused — its InstanceSpec (spec.h) fails
+  /// Validate, or a budget meets a WAL or a non-translating instance —
+  /// or an empty string once the create is queued.
+  std::string CreateInstance(const std::string& key,
+                             online::OnlineConfig config,
+                             bool translate_trace_ids = false,
+                             std::optional<online::BudgetConfig> budget =
+                                 std::nullopt);
 
   /// Enqueues one event for `key` (one policy decision per update).
   void Submit(const std::string& key, const online::Update& update);

@@ -7,6 +7,7 @@
 
 #include "obs/span.h"
 #include "online/snapshot.h"
+#include "online/spec.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -53,7 +54,7 @@ bool ServingShard::AttachWal(const durability::WalOptions& options,
   for (auto& [key, stream] : streams) {
     Instance instance;
     instance.assigner = std::move(stream.assigner);
-    instance.translate = stream.config.translate;
+    instance.translate = stream.translate;
     instance.live_of_trace = std::move(stream.live_of_trace);
     instance.event_seq = stream.event_seq;
     instances_[key] = std::move(instance);
@@ -73,12 +74,14 @@ void ServingShard::StampEnqueue(Task* task) {
   mailbox_depth_->Add(1);
 }
 
-void ServingShard::CreateInstance(std::string key,
-                                  online::OnlineConfig config,
-                                  bool translate_trace_ids,
-                                  online::BudgetConfig budget) {
-  MSP_CHECK(budget.bytes_per_window == 0 || translate_trace_ids)
-      << "churn budgets submit trace-side ids and need translation";
+std::string ServingShard::CreateInstance(std::string key,
+                                         online::OnlineConfig config,
+                                         bool translate_trace_ids,
+                                         online::BudgetConfig budget) {
+  const bool budgeted = budget.bytes_per_window > 0;
+  if (budgeted && !translate_trace_ids) {
+    return "churn budgets submit trace-side ids and need translation";
+  }
   Task task;
   task.create = true;
   task.key = std::move(key);
@@ -89,13 +92,19 @@ void ServingShard::CreateInstance(std::string key,
   if (task.config.metrics == nullptr) task.config.metrics = metrics_;
   task.translate = translate_trace_ids;
   task.budget = budget;
-  StampEnqueue(&task);
   {
     std::unique_lock<std::mutex> lock(mu_);
+    if (budgeted && wal_ != nullptr) {
+      return "a churn budget cannot be combined with a WAL (the "
+             "changelog logs events in apply order, which budget "
+             "deferral would reorder)";
+    }
+    StampEnqueue(&task);
     ++stats_.enqueued_tasks;
     queue_.push_back(std::move(task));
   }
   work_available_.notify_one();
+  return {};
 }
 
 void ServingShard::Enqueue(std::string key,
@@ -315,14 +324,6 @@ void ServingShard::Process(Task& task) {
   if (span.active() && !task.key.empty()) span.Arg("key", task.key);
   if (task.create) {
     Instance instance;
-    if (task.budget.bytes_per_window > 0 && wal_ != nullptr) {
-      // Durability wins: the changelog records events at apply time in
-      // ack order, which a deferral queue would silently violate.
-      MSP_LOG(Warning) << "shard " << index_ << ": churn budget for '"
-                       << task.key
-                       << "' ignored — the shard logs to a WAL";
-      task.budget.bytes_per_window = 0;
-    }
     if (task.budget.bytes_per_window > 0) {
       instance.budgeted = std::make_unique<online::BudgetedAssigner>(
           task.config, task.budget);
@@ -339,7 +340,7 @@ void ServingShard::Process(Task& task) {
           it != instances_.end() ? it->second.event_seq : 0;
       WalAppend(durability::LogRecord::Create(
           task.key, instance.event_seq,
-          durability::StreamConfig::From(task.config, task.translate)));
+          online::InstanceSpec::Of(task.config), task.translate));
     }
     std::unique_lock<std::mutex> lock(mu_);
     instances_[task.key] = std::move(instance);

@@ -127,13 +127,14 @@ class ServingShard {
   /// BudgetedAssigner (budget.h): each window of submitted events gets
   /// a shipped-byte budget and over-budget events are deferred FIFO,
   /// drained at window rollovers and at EnqueueCheckpointAll. Budgets
-  /// require translate_trace_ids (the wrapper submits trace-side ids;
-  /// checked) and are ignored with a warning on a WAL-attached shard —
-  /// durability logs at apply time, which a deferral queue would
-  /// reorder out from under the ack discipline.
-  void CreateInstance(std::string key, online::OnlineConfig config,
-                      bool translate_trace_ids,
-                      online::BudgetConfig budget = {});
+  /// require translate_trace_ids (the wrapper submits trace-side ids)
+  /// and are refused on a WAL-attached shard — durability logs at
+  /// apply time, which a deferral queue would reorder out from under
+  /// the ack discipline. Returns why the instance was refused (nothing
+  /// is queued then), or an empty string.
+  std::string CreateInstance(std::string key, online::OnlineConfig config,
+                             bool translate_trace_ids,
+                             online::BudgetConfig budget = {});
 
   /// Appends a window of events for `key`. `batch_size` 0 or 1 applies
   /// them one policy decision per update; larger windows go through

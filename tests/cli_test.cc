@@ -526,18 +526,18 @@ TEST(CommandsTest, OnlineCoverageAndBatchFlags) {
   ASSERT_EQ(trace.code, 0);
   const std::string trace_path = TempPath("coverage.trace");
   WriteFile(trace_path, trace.out);
-  // The hash baseline and the triangular default replay identically.
-  const CommandResult tri = RunCli(
-      {"online", "--trace", trace_path.c_str(), "--coverage=triangular",
-       "--batch=4"});
-  const CommandResult hash = RunCli(
-      {"online", "--trace", trace_path.c_str(), "--coverage=hash",
-       "--batch=4"});
-  ASSERT_EQ(tri.code, 0) << tri.err;
-  ASSERT_EQ(hash.code, 0) << hash.err;
-  EXPECT_EQ(tri.out, hash.out);
+  // A batched replay is deterministic and valid.
+  const CommandResult batched =
+      RunCli({"online", "--trace", trace_path.c_str(), "--batch=4"});
+  const CommandResult again =
+      RunCli({"online", "--trace", trace_path.c_str(), "--batch=4"});
+  ASSERT_EQ(batched.code, 0) << batched.err;
+  EXPECT_NE(batched.err.find("valid=yes"), std::string::npos);
+  EXPECT_EQ(batched.out, again.out);
+  // The coverage backend is no longer selectable: the pair counts are
+  // always the triangular array, so the flag is an unknown option.
   EXPECT_EQ(
-      RunCli({"online", "--trace", trace_path.c_str(), "--coverage=foo"})
+      RunCli({"online", "--trace", trace_path.c_str(), "--coverage=hash"})
           .code,
       2);
   std::remove(trace_path.c_str());
@@ -860,6 +860,78 @@ TEST(CommandsTest, ServeRejectsBadRpcAndBudgetOptions) {
   EXPECT_EQ(RunCli({"serve", "--churn-budget=100", "--budget-window=0"})
                 .code,
             2);
+  // A churn budget cannot ride a WAL: refused, not dropped.
+  const std::string wal_dir = TempPath("budget-serve.wal");
+  RemoveWalDir(wal_dir, 4);
+  const CommandResult budgeted =
+      RunCli({"serve", "--instances=2", "--steps=10", "--churn-budget=100",
+              "--wal-dir", wal_dir.c_str()});
+  EXPECT_EQ(budgeted.code, 2);
+  EXPECT_NE(budgeted.err.find("churn budget"), std::string::npos)
+      << budgeted.err;
+  RemoveWalDir(wal_dir, 4);
+}
+
+// The churn table of a replay report: from its title to the next one.
+std::string ChurnTable(const std::string& report) {
+  const std::size_t begin = report.find("== churn ==");
+  if (begin == std::string::npos) return "";
+  return report.substr(begin, report.find("== ", begin + 1) - begin);
+}
+
+// Every spec flag survives the snapshot: `snapshot` with Hungarian
+// matching and gap measurement, then `restore`, prints the same schema
+// and churn table as one uninterrupted `online` run with those flags.
+// On this trace greedy matching moves 18,916 bytes and Hungarian
+// 18,658, so a dropped field shows.
+TEST(CommandsTest, SnapshotRestoreKeepsMatchingAndGap) {
+  const CommandResult trace =
+      RunCli({"gen-trace", "--kind=a2a", "--initial=30", "--steps=200",
+              "--q=100", "--seed=11"});
+  ASSERT_EQ(trace.code, 0) << trace.err;
+  const std::string trace_path = TempPath("spec-roundtrip.trace");
+  const std::string snap_path = TempPath("spec-roundtrip.snap");
+  WriteFile(trace_path, trace.out);
+
+  const CommandResult online =
+      RunCli({"online", "--trace", trace_path.c_str(), "--batch=4",
+              "--replan-threshold=1.1", "--matching=hungarian",
+              "--matching-gap=1"});
+  ASSERT_EQ(online.code, 0) << online.err;
+  const CommandResult greedy =
+      RunCli({"online", "--trace", trace_path.c_str(), "--batch=4",
+              "--replan-threshold=1.1"});
+  ASSERT_EQ(greedy.code, 0) << greedy.err;
+  EXPECT_NE(ChurnTable(online.err).find("18,658"), std::string::npos)
+      << online.err;
+  EXPECT_NE(ChurnTable(greedy.err).find("18,916"), std::string::npos)
+      << greedy.err;
+
+  const CommandResult snap =
+      RunCli({"snapshot", "--trace", trace_path.c_str(), "--batch=4",
+              "--replan-threshold=1.1", "--matching=hungarian",
+              "--matching-gap=1", "--steps=120", "--out",
+              snap_path.c_str()});
+  ASSERT_EQ(snap.code, 0) << snap.err;
+  const CommandResult restored =
+      RunCli({"restore", "--snapshot", snap_path.c_str(), "--trace",
+              trace_path.c_str(), "--batch=4"});
+  ASSERT_EQ(restored.code, 0) << restored.err;
+  EXPECT_EQ(restored.out, online.out);
+  EXPECT_EQ(ChurnTable(restored.err), ChurnTable(online.err));
+  EXPECT_NE(ChurnTable(restored.err), "");
+
+  // Fields a command cannot honour are refused, never dropped.
+  EXPECT_EQ(RunCli({"snapshot", "--trace", trace_path.c_str(),
+                    "--churn-budget=100", "--out", snap_path.c_str()})
+                .code,
+            2);
+  EXPECT_EQ(RunCli({"simulate", "--trace", trace_path.c_str(),
+                    "--churn-budget=100"})
+                .code,
+            2);
+  std::remove(trace_path.c_str());
+  std::remove(snap_path.c_str());
 }
 
 }  // namespace

@@ -211,21 +211,20 @@ struct StateFingerprint {
   bool operator==(const StateFingerprint&) const = default;
 };
 
-/// The deterministic stream configuration the crash suites share.
-/// Portfolio planning is off: recovery re-applies every logged event
-/// and must land on the same schema bit for bit.
-inline StreamConfig CrashStreamConfig(bool x2y, InputSize capacity) {
-  StreamConfig config;
-  config.x2y = x2y;
-  config.translate = true;
-  config.use_portfolio = false;
-  config.capacity = capacity;
-  config.policy_spec.name = "drift";
-  config.policy_spec.reducer_drift = 1.4;
-  config.policy_spec.comm_drift = 2.0;
-  config.policy_spec.max_updates = 64;
-  config.policy_spec.cooldown = 8;
-  return config;
+/// The deterministic instance spec the crash suites share. Portfolio
+/// planning is off: recovery re-applies every logged event and must
+/// land on the same schema bit for bit.
+inline online::InstanceSpec CrashSpec(bool x2y, InputSize capacity) {
+  online::InstanceSpec spec;
+  spec.x2y = x2y;
+  spec.use_portfolio = false;
+  spec.capacity = capacity;
+  spec.policy.name = "drift";
+  spec.policy.reducer_drift = 1.4;
+  spec.policy.comm_drift = 2.0;
+  spec.policy.max_updates = 64;
+  spec.policy.cooldown = 8;
+  return spec;
 }
 
 /// One durable update stream, driven exactly like the serving shard
@@ -236,14 +235,13 @@ inline StreamConfig CrashStreamConfig(bool x2y, InputSize capacity) {
 /// the live state at record K.
 class LoggedStream {
  public:
-  LoggedStream(std::string key, const StreamConfig& config,
+  LoggedStream(std::string key, const online::InstanceSpec& spec,
                ChangelogWriter* wal)
       : key_(std::move(key)),
-        config_(config),
         assigner_(std::make_unique<online::OnlineAssigner>(
-            config.ToOnlineConfig(nullptr))),
+            spec.ToOnlineConfig())),
         wal_(wal) {
-    Log(LogRecord::Create(key_, 0, config_));
+    Log(LogRecord::Create(key_, 0, spec, /*translate=*/true));
   }
 
   /// Applies one trace event with window semantics; appends the event
@@ -311,7 +309,6 @@ class LoggedStream {
   }
 
   const std::string key_;
-  const StreamConfig config_;
   std::unique_ptr<online::OnlineAssigner> assigner_;
   ChangelogWriter* wal_;
   uint64_t event_seq_ = 0;

@@ -23,6 +23,8 @@
 #include "online/assigner.h"
 #include "online/snapshot.h"
 #include "online/trace.h"
+#include "util/binary_io.h"
+#include "util/fnv.h"
 #include "util/fs.h"
 #include "util/rng.h"
 #include "workload/sizes.h"
@@ -34,12 +36,17 @@ namespace {
 // A log exercising every record kind and every update kind (both
 // sides for adds), with keys of several lengths including empty-ish.
 std::vector<LogRecord> EveryKindRecords() {
-  StreamConfig config = CrashStreamConfig(/*x2y=*/true, 120);
-  config.coverage = online::PairCoverage::Backend::kHash;
-  config.budget_ms = 1.5;
-  config.full_reassign_on_replan = true;
+  // Every spec field off its default, so the codec round-trips all.
+  online::InstanceSpec spec = CrashSpec(/*x2y=*/true, 120);
+  spec.policy.every_n = 17;
+  spec.matching = online::DeltaMatching::kHungarian;
+  spec.measure_matching_gap = true;
+  spec.use_portfolio = true;
+  spec.budget_ms = 1.5;
+  spec.full_reassign_on_replan = true;
+  spec.budget.window_updates = 9;
   std::vector<LogRecord> records;
-  records.push_back(LogRecord::Create("s", 0, config));
+  records.push_back(LogRecord::Create("s", 0, spec, /*translate=*/true));
   records.push_back(LogRecord::Event(RecordKind::kApplied, "s", 1,
                                      online::Update::Add(30)));
   records.push_back(LogRecord::Event(
@@ -53,8 +60,8 @@ std::vector<LogRecord> EveryKindRecords() {
                                      online::Update::SetCapacity(140)));
   records.push_back(LogRecord::Checkpoint("s", 5));
   records.push_back(LogRecord::Create(
-      "a-much-longer-instance-key/with/slashes", 0,
-      CrashStreamConfig(false, 64)));
+      "a-much-longer-instance-key/with/slashes", 0, CrashSpec(false, 64),
+      /*translate=*/false));
   return records;
 }
 
@@ -138,6 +145,21 @@ TEST(ChangelogCodecTest, EveryOneByteMutationIsDetected) {
           << " went unnoticed";
     }
   }
+}
+
+// Version 2 stores the kCreate config as an InstanceSpec; a version-1
+// log (intact header, correct checksum) is refused by name rather than
+// misparsed.
+TEST(ChangelogCodecTest, PreviousFormatVersionIsRefused) {
+  ASSERT_EQ(kChangelogVersion, 2u);
+  std::string covered;
+  PutU32(&covered, 1);
+  PutU64(&covered, /*epoch=*/1);
+  std::string bytes = "MSPWAL01" + covered;
+  PutU64(&bytes, Fnv1a(covered));
+  std::string error;
+  EXPECT_FALSE(ReadChangelog(bytes, &error).has_value());
+  EXPECT_EQ(error, "unsupported changelog version 1");
 }
 
 TEST(ChangelogCodecTest, RejectsAlienMagicAndVersionAndGiantRecords) {
@@ -376,12 +398,12 @@ WalRun RotatedRun() {
 
   const wl::TraceConfig shape = SixShapes(60).front();
   const online::UpdateTrace trace = wl::GenerateTrace(shape);
-  const StreamConfig config =
-      CrashStreamConfig(trace.x2y, trace.initial_capacity);
-  online::OnlineAssigner assigner(config.ToOnlineConfig(nullptr));
+  const online::InstanceSpec spec =
+      CrashSpec(trace.x2y, trace.initial_capacity);
+  online::OnlineAssigner assigner(spec.ToOnlineConfig());
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t event_seq = 0;
-  EXPECT_TRUE(wal->Append(LogRecord::Create("s", 0, config), &error))
+  EXPECT_TRUE(wal->Append(LogRecord::Create("s", 0, spec, /*translate=*/true), &error))
       << error;
   for (const online::Update& raw : trace.updates) {
     online::Update update = raw;

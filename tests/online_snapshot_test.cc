@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "online/assigner.h"
 #include "online/snapshot.h"
+#include "online/spec.h"
 #include "online/trace.h"
 #include "workload/sizes.h"
 #include "workload/updates.h"
@@ -111,11 +112,9 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   std::string oracle_error;
   EXPECT_TRUE(restored->assigner->ValidateNow(&oracle_error))
       << oracle_error;
-  // The restored policy spec round-tripped.
-  EXPECT_EQ(restored->assigner->config().policy_spec,
-            assigner.config().policy_spec);
-  EXPECT_EQ(restored->assigner->config().coverage,
-            assigner.config().coverage);
+  // The restored instance spec round-tripped.
+  EXPECT_EQ(InstanceSpec::Of(restored->assigner->config()),
+            InstanceSpec::Of(assigner.config()));
 }
 
 // The tentpole acceptance criterion: every differential trace shape,
@@ -225,6 +224,21 @@ TEST(SnapshotTest, RejectsAlienAndVersionedFiles) {
   // Trailing garbage breaks the framing.
   std::string padded = SnapshotCodec::Serialize(assigner, cursor) + "x";
   EXPECT_FALSE(SnapshotCodec::Restore(padded, &error).has_value());
+}
+
+// Version 3 stores the config as an InstanceSpec (plus the last
+// matching gap); a version-2 file is refused by name.
+TEST(SnapshotTest, PreviousFormatVersionIsRefused) {
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  const UpdateTrace trace = ShapeTrace(false, 11);
+  OnlineAssigner assigner(DriftConfig(trace));
+  ReplayCursor cursor;
+  ReplayRange(trace, 40, 1, &assigner, &cursor);
+  std::string bytes = SnapshotCodec::Serialize(assigner, cursor);
+  bytes[8] = 2;  // version field (little-endian u32 after the magic)
+  std::string error;
+  EXPECT_FALSE(SnapshotCodec::Restore(bytes, &error).has_value());
+  EXPECT_EQ(error, "unsupported snapshot version 2");
 }
 
 TEST(SnapshotTest, FileRoundTripAndMissingFile) {

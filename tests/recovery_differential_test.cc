@@ -51,7 +51,7 @@ ReferenceRun RunReference(const wl::TraceConfig& shape) {
 
   const online::UpdateTrace trace = wl::GenerateTrace(shape);
   LoggedStream stream(
-      "s", CrashStreamConfig(trace.x2y, trace.initial_capacity),
+      "s", CrashSpec(trace.x2y, trace.initial_capacity),
       writer.get());
   for (const online::Update& update : trace.updates) {
     stream.Apply(update, kWindow);
@@ -221,9 +221,9 @@ ShardRun RunShard(const wl::TraceConfig& shape) {
   EXPECT_NE(wal, nullptr) << error;
 
   const online::UpdateTrace trace = wl::GenerateTrace(shape);
-  const StreamConfig config =
-      CrashStreamConfig(trace.x2y, trace.initial_capacity);
-  online::OnlineAssigner assigner(config.ToOnlineConfig(nullptr));
+  const online::InstanceSpec spec =
+      CrashSpec(trace.x2y, trace.initial_capacity);
+  online::OnlineAssigner assigner(spec.ToOnlineConfig());
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t event_seq = 0;
   run.header_size = EncodeChangelogHeader(1).size();
@@ -236,7 +236,7 @@ ShardRun RunShard(const wl::TraceConfig& shape) {
         StateFingerprint::Of(assigner, event_seq, live_of_trace));
   };
 
-  log(LogRecord::Create("s", 0, config));
+  log(LogRecord::Create("s", 0, spec, /*translate=*/true));
   for (const online::Update& raw : trace.updates) {
     online::Update update = raw;
     online::TraceIdTranslator translator(&live_of_trace);
@@ -337,7 +337,7 @@ TEST(PowerLossTest, SyncedRecordsSurviveDropUnsynced) {
     auto writer = ChangelogWriter::Create(&fs, "wal", 1, options, &error);
     ASSERT_NE(writer, nullptr) << error;
     LoggedStream stream(
-        "s", CrashStreamConfig(trace.x2y, trace.initial_capacity),
+        "s", CrashSpec(trace.x2y, trace.initial_capacity),
         writer.get());
     for (std::size_t i = 0; i < stop; ++i) {
       stream.Apply(trace.updates[i], kWindow);
@@ -376,7 +376,7 @@ TEST(PowerLossTest, ExplicitSyncIsDurable) {
   auto writer = ChangelogWriter::Create(&fs, "wal", 1, options, &error);
   ASSERT_NE(writer, nullptr) << error;
   LoggedStream stream(
-      "s", CrashStreamConfig(trace.x2y, trace.initial_capacity),
+      "s", CrashSpec(trace.x2y, trace.initial_capacity),
       writer.get());
   for (const online::Update& update : trace.updates) {
     stream.Apply(update, kWindow);
@@ -418,7 +418,7 @@ TEST(FaultyWriterTest, KilledStreamRecoversToLastAppendedRecord) {
     ASSERT_NE(writer, nullptr) << error;
     fs.fault().write_budget = budget;
     LoggedStream stream(
-        "s", CrashStreamConfig(trace.x2y, trace.initial_capacity),
+        "s", CrashSpec(trace.x2y, trace.initial_capacity),
         writer.get());
     for (const online::Update& update : trace.updates) {
       stream.Apply(update, kWindow);

@@ -7,9 +7,13 @@
 // shard.
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "durability/wal.h"
 #include "gtest/gtest.h"
 #include "online/budget.h"
 #include "online/delta.h"
@@ -19,6 +23,7 @@
 #include "rpc/protocol.h"
 #include "rpc/server.h"
 #include "serving/service.h"
+#include "util/fs.h"
 #include "util/rng.h"
 
 namespace msp::rpc {
@@ -298,6 +303,21 @@ TEST(RpcFrameTest, BadMagicAndBadVersionAreRejected) {
     EXPECT_EQ(DecodeFrame(bad_version, &frame_size, &payload, &error),
               FrameStatus::kBad);
   }
+}
+
+// Version 2 changed the kCreateInstance spec layout; a peer still
+// speaking version 1 is refused at the frame boundary, by name.
+TEST(RpcFrameTest, PreviousProtocolVersionIsRefused) {
+  std::string frame = EncodeFrame("payload");
+  ASSERT_EQ(kProtocolVersion, 2u);
+  frame[4] = 1;  // version u32, little-endian, after the magic
+  std::size_t frame_size = 0;
+  std::string_view payload;
+  std::string error;
+  EXPECT_EQ(DecodeFrame(frame, &frame_size, &payload, &error),
+            FrameStatus::kBad);
+  EXPECT_NE(error.find("unsupported protocol version 1"), std::string::npos)
+      << error;
 }
 
 TEST(RpcFrameTest, BackToBackFramesDecodeOneAtATime) {
@@ -647,6 +667,109 @@ TEST(RpcServerTest, CreateWithBadSpecIsRejectedWithError) {
     EXPECT_EQ(response.type, MsgType::kError);
   }
   server.Shutdown();
+}
+
+// Each of these specs used to abort the whole server: the policy,
+// assigner and budget constructors CHECK their preconditions. The spec
+// is now validated at decode, so each gets a typed kError naming the
+// reason (echoing its req_id), the connection stays usable, and a
+// valid Create, Submit and Query on it still work.
+TEST(RpcServerTest, InvalidSpecGetsTypedErrorAndServerKeepsServing) {
+  serving::ServingService service{serving::ServingConfig{}};
+  RpcServerOptions options;
+  options.service = &service;
+  RpcServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  RpcClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+
+  const std::vector<
+      std::pair<const char*, std::function<void(InstanceSpec*)>>>
+      invalid = {
+          {"drift reducer_drift=0.5",
+           [](InstanceSpec* s) { s->policy.reducer_drift = 0.5; }},
+          {"every-n every_n=0",
+           [](InstanceSpec* s) {
+             s->policy.name = "every-n";
+             s->policy.every_n = 0;
+           }},
+          {"capacity=2e18",
+           [](InstanceSpec* s) { s->capacity = 2'000'000'000'000'000'000; }},
+          {"budget window 0",
+           [](InstanceSpec* s) {
+             s->budget.bytes_per_window = 10;
+             s->budget.window_updates = 0;
+           }},
+          {"drift reducer_drift=NaN",
+           [](InstanceSpec* s) {
+             s->policy.reducer_drift =
+                 std::numeric_limits<double>::quiet_NaN();
+           }},
+      };
+  uint64_t req_id = 0;
+  Response response;
+  for (const auto& [name, mutate] : invalid) {
+    Request request = MakeCreate(++req_id, std::string("bad ") + name);
+    mutate(&request.spec);
+    ASSERT_TRUE(client.Call(request, &response, &error)) << error;
+    EXPECT_EQ(response.type, MsgType::kError) << name;
+    EXPECT_EQ(response.req_id, req_id) << name;
+    EXPECT_NE(response.error.find("invalid instance spec"), std::string::npos)
+        << name << ": " << response.error;
+  }
+
+  ASSERT_TRUE(client.Call(MakeCreate(++req_id, "good"), &response, &error))
+      << error;
+  EXPECT_EQ(response.type, MsgType::kOk);
+  ASSERT_TRUE(client.Call(MakeSubmit(++req_id, "good", 30), &response,
+                          &error))
+      << error;
+  EXPECT_EQ(response.type, MsgType::kOk);
+  ASSERT_TRUE(client.Call(MakeQuery(++req_id, "good"), &response, &error))
+      << error;
+  ASSERT_EQ(response.type, MsgType::kQueryResult);
+  EXPECT_TRUE(response.found);
+  EXPECT_EQ(response.applied_updates, 1u);
+  server.Shutdown();
+  EXPECT_EQ(server.counters().errors, invalid.size());
+}
+
+// A churn budget cannot ride a WAL (the changelog logs in apply
+// order, which deferral would reorder): the create is refused with a
+// typed error instead of the budget being dropped.
+TEST(RpcServerTest, BudgetedCreateOnWalServiceGetsTypedError) {
+  MemFileSystem fs;
+  serving::ServingService service{serving::ServingConfig{}};
+  durability::WalOptions wal;
+  wal.dir = "wal";
+  wal.fs = &fs;
+  std::string error;
+  ASSERT_TRUE(service.AttachWal(wal, &error)) << error;
+  RpcServerOptions options;
+  options.service = &service;
+  RpcServer server(options);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  RpcClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+
+  Request budgeted = MakeCreate(1, "budgeted");
+  budgeted.spec.budget.bytes_per_window = 1000;
+  Response response;
+  ASSERT_TRUE(client.Call(budgeted, &response, &error)) << error;
+  EXPECT_EQ(response.type, MsgType::kError);
+  EXPECT_NE(response.error.find("WAL"), std::string::npos) << response.error;
+  ASSERT_TRUE(client.Call(MakeCreate(2, "plain"), &response, &error))
+      << error;
+  EXPECT_EQ(response.type, MsgType::kOk);
+  server.Shutdown();
+  service.Flush();
+  std::vector<std::string> keys;
+  service.ForEachInstance(
+      [&keys](const std::string& key, const online::OnlineAssigner&) {
+        keys.push_back(key);
+      });
+  EXPECT_EQ(keys, std::vector<std::string>{"plain"});
 }
 
 // The headline backpressure contract: a wedged shard surfaces as typed

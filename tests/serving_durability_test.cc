@@ -5,7 +5,8 @@
 // barrier are what make that equality hold. Also: counter
 // reconciliation between live and recovered stats, rotation under
 // load, and continuation (a recovered service keeps logging, and a
-// second recovery sees the continuation too).
+// second recovery sees the continuation too), and the refusal of a
+// churn budget on a WAL-attached service.
 
 #include <cstdint>
 #include <map>
@@ -17,6 +18,7 @@
 #include "durability/wal.h"
 #include "gtest/gtest.h"
 #include "online/assigner.h"
+#include "online/budget.h"
 #include "online/trace.h"
 #include "serving/service.h"
 #include "util/fs.h"
@@ -266,6 +268,64 @@ TEST(ServingDurabilityTest, RecoveredServiceContinuesDurably) {
   for (const auto& [key, image] : continued) {
     EXPECT_EQ(recovered.at(key), image) << key << " lost the continuation";
   }
+}
+
+// A churn budget cannot ride a WAL: the changelog logs events in
+// apply order, which budget deferral would reorder. The combination is
+// refused when it is asked for — never accepted with the budget
+// silently dropped.
+TEST(ServingDurabilityTest, BudgetedCreateIsRefusedOnceWalIsAttached) {
+  MemFileSystem fs;
+  durability::WalOptions wal;
+  wal.dir = "wal";
+  wal.fs = &fs;
+  ServingService service{ServingConfig{}};
+  std::string error;
+  ASSERT_TRUE(service.AttachWal(wal, &error)) << error;
+  OnlineConfig config;
+  config.capacity = 100;
+  online::BudgetConfig budget;
+  budget.bytes_per_window = 500;
+  const std::string refused = service.CreateInstance(
+      "budgeted", config, /*translate_trace_ids=*/true, budget);
+  EXPECT_NE(refused.find("WAL"), std::string::npos) << refused;
+  EXPECT_EQ(service.CreateInstance("plain", config, true), "");
+  service.Flush();
+  EXPECT_EQ(service.stats().total.instances, 1u);
+}
+
+TEST(ServingDurabilityTest, AttachWalRefusesADefaultBudget) {
+  MemFileSystem fs;
+  durability::WalOptions wal;
+  wal.dir = "wal";
+  wal.fs = &fs;
+  ServingConfig config;
+  config.default_budget.bytes_per_window = 500;
+  ServingService service(config);
+  std::string error;
+  EXPECT_FALSE(service.AttachWal(wal, &error));
+  EXPECT_NE(error.find("churn budget"), std::string::npos) << error;
+  EXPECT_FALSE(fs.FileExists("wal/MANIFEST"));
+}
+
+// The service validates the instance spec before anything is queued,
+// so a bad config is an error string, not an abort on a shard worker.
+TEST(ServingDurabilityTest, CreateInstanceRefusesInvalidSpecs) {
+  ServingService service{ServingConfig{}};
+  OnlineConfig config;  // capacity 0
+  EXPECT_NE(service.CreateInstance("zero", config), "");
+  config.capacity = 100;
+  config.policy_spec.name = "every-n";
+  config.policy_spec.every_n = 0;
+  EXPECT_NE(service.CreateInstance("every-0", config), "");
+  config.policy_spec.name = "drift";
+  online::BudgetConfig budget;
+  budget.bytes_per_window = 500;
+  EXPECT_NE(service.CreateInstance("untranslated", config,
+                                   /*translate_trace_ids=*/false, budget),
+            "");
+  service.Flush();
+  EXPECT_EQ(service.stats().total.instances, 0u);
 }
 
 }  // namespace
