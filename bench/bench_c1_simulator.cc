@@ -149,57 +149,6 @@ int PrintReconciliationTable(bool smoke, CsvWriter* csv,
   return failures;
 }
 
-// --- C1b: persistent worker pool vs per-job spin-up ---
-//
-// A step's delta re-shuffle is a tiny engine job; before the shared
-// pool, every job paid three thread-pool constructions (map, shuffle,
-// reduce) and the simulator constructed a fresh engine per Execute and
-// OracleCheck. This table replays the same trace with the persistent
-// pool on (one spawn for the whole simulation) and off (the seed
-// behavior) and reports the throughput delta. Wall-clock rates are
-// machine-dependent — trajectory-only, never gated.
-void PrintPoolTable(bool smoke, CsvWriter* csv,
-                    benchutil::BenchJson* json) {
-  TablePrinter table("C1b: simulator throughput — persistent pool on/off");
-  table.SetHeader({"trace", "pool", "updates/s", "speedup"});
-  csv->WriteRow({"table", "trace", "pool", "updates_per_s", "speedup"});
-  for (const TraceShape& shape : MakeShapes(smoke)) {
-    double rate_of[2] = {0, 0};
-    for (const bool persistent : {false, true}) {
-      const online::UpdateTrace trace = wl::GenerateTrace(shape.config);
-      sim::SimConfig config = MakeSimConfig(trace);
-      config.oracle_every = 0;  // isolate the per-step delta jobs
-      config.persistent_pool = persistent;
-      sim::ClusterSimulator simulator(config);
-      Stopwatch wall;
-      simulator.ReplayTrace(trace);
-      const double seconds = wall.ElapsedSeconds();
-      rate_of[persistent] =
-          seconds > 0.0
-              ? static_cast<double>(trace.updates.size()) / seconds
-              : 0.0;
-    }
-    const double speedup =
-        rate_of[0] > 0.0 ? rate_of[1] / rate_of[0] : 0.0;
-    for (const bool persistent : {false, true}) {
-      table.AddRow({shape.name, persistent ? "persistent" : "per-job",
-                    TablePrinter::Fmt(rate_of[persistent], 0),
-                    persistent ? TablePrinter::Fmt(speedup, 2) : "1.00"});
-      csv->WriteRow({"C1b", shape.name,
-                     persistent ? "persistent" : "per-job",
-                     TablePrinter::Fmt(rate_of[persistent], 0),
-                     persistent ? TablePrinter::Fmt(speedup, 2) : "1.00"});
-    }
-    json->Add(shape.key + ".pool_speedup", speedup, "x", "higher",
-              /*gate=*/false);
-  }
-  table.Print(std::cout);
-  std::cout
-      << "\nExpected shape: the persistent pool wins by whatever share of\n"
-         "a step was thread spin-up — largest on traces whose plans ship\n"
-         "few bytes per update (the job itself is nearly free).\n\n";
-}
-
 void BM_SimulatorStep(benchmark::State& state) {
   wl::TraceConfig config;
   config.initial_inputs = static_cast<std::size_t>(state.range(0));
@@ -224,7 +173,6 @@ int main(int argc, char** argv) {
   CsvWriter csv("bench_c1_simulator.csv");
   benchutil::BenchJson json("c1_simulator");
   const int failures = PrintReconciliationTable(args.smoke, &csv, &json);
-  PrintPoolTable(args.smoke, &csv, &json);
   if (benchutil::EmitBenchJson(json, args) != 0) return 1;
   if (failures > 0) return 1;
   if (!args.smoke) {

@@ -17,8 +17,7 @@
 // A second table (O1b) isolates the LiveState repair hot path at
 // m >= 10^4 alive inputs: a clique-cover schema over 10,200 equal
 // inputs is bulk-seeded, then remove / shrink / regrow / add ops (each
-// a storm of coverage decrements or lookups) are timed with the rank
-// bitmap partner set vs the unordered_set baseline.
+// a storm of coverage decrements or lookups) are timed.
 //
 // `--smoke` shortens every trace, skips the m >= 10^4 sweep and the
 // Google Benchmark loops; `--json=FILE` writes the BENCH_o1_online.json
@@ -202,12 +201,11 @@ void PrintComparisonTable(bool smoke, CsvWriter* csv,
 // A warmed-up assigner oscillates the sizes of eight fixed inputs: the
 // id space, the alive set, and the load scale stay put while every
 // update still repairs (evictions, re-covers, reducer churn). In this
-// regime the pooled storage must perform literally zero heap
-// allocations — the gated metric's baseline is 0 and benchgate's
-// zero-stays-zero rule holds it there — while the heap baseline's
-// count on the identical window shows what the pool saves. Under
-// sanitizer builds the counting allocator is interposed away and both
-// counts read 0; the committed baselines come from plain builds.
+// regime the repair path must perform literally zero heap allocations
+// — the gated metric's baseline is 0 and benchgate's zero-stays-zero
+// rule holds it there. Under sanitizer builds the counting allocator
+// is interposed away and the count reads 0; the committed baselines
+// come from plain builds.
 
 struct SteadyAllocOutcome {
   uint64_t allocs = 0;
@@ -215,7 +213,7 @@ struct SteadyAllocOutcome {
   double mean_update_us = 0;
 };
 
-SteadyAllocOutcome RunSteadyAllocWindow(online::RepairStorage storage) {
+SteadyAllocOutcome RunSteadyAllocWindow() {
   wl::TraceConfig shape;
   shape.initial_inputs = 40;
   shape.steps = 300;
@@ -226,7 +224,6 @@ SteadyAllocOutcome RunSteadyAllocWindow(online::RepairStorage storage) {
   online::OnlineConfig config;
   config.capacity = trace.initial_capacity;
   config.policy_spec.name = "never";
-  config.repair_storage = storage;
   config.metrics = &registry;
   online::OnlineAssigner assigner(config);
   std::vector<std::optional<InputId>> live_of_trace;
@@ -276,39 +273,22 @@ void PrintSteadyAllocTable(CsvWriter* csv, benchutil::BenchJson* json) {
   table.SetHeader({"storage", "allocs", "alloc bytes", "us/update"});
   csv->WriteRow({"table", "storage", "allocs", "alloc_bytes",
                  "us_per_update"});
-  const struct {
-    const char* name;
-    online::RepairStorage storage;
-  } modes[] = {
-      {"pooled", online::RepairStorage::kPooled},
-      {"heap (baseline)", online::RepairStorage::kHeap},
-  };
-  for (const auto& mode : modes) {
-    const SteadyAllocOutcome outcome = RunSteadyAllocWindow(mode.storage);
-    table.AddRow({mode.name, TablePrinter::Fmt(outcome.allocs),
-                  TablePrinter::Fmt(outcome.alloc_bytes),
-                  TablePrinter::Fmt(outcome.mean_update_us, 2)});
-    csv->WriteRow({"O1c", mode.name, std::to_string(outcome.allocs),
-                   std::to_string(outcome.alloc_bytes),
-                   TablePrinter::Fmt(outcome.mean_update_us, 2)});
-  }
-  // Gate only the pooled count: its baseline is 0, and benchgate holds
-  // zero-baseline metrics at exactly zero. The heap series is
-  // allocator-dependent, so it rides as trajectory context.
-  json->Add("steady.pooled.allocs",
-            static_cast<double>(
-                RunSteadyAllocWindow(online::RepairStorage::kPooled).allocs),
+  const SteadyAllocOutcome outcome = RunSteadyAllocWindow();
+  table.AddRow({"pooled", TablePrinter::Fmt(outcome.allocs),
+                TablePrinter::Fmt(outcome.alloc_bytes),
+                TablePrinter::Fmt(outcome.mean_update_us, 2)});
+  csv->WriteRow({"O1c", "pooled", std::to_string(outcome.allocs),
+                 std::to_string(outcome.alloc_bytes),
+                 TablePrinter::Fmt(outcome.mean_update_us, 2)});
+  // Its baseline is 0, and benchgate holds zero-baseline metrics at
+  // exactly zero.
+  json->Add("steady.pooled.allocs", static_cast<double>(outcome.allocs),
             "allocs");
-  json->Add("steady.heap.allocs",
-            static_cast<double>(
-                RunSteadyAllocWindow(online::RepairStorage::kHeap).allocs),
-            "allocs", "lower", /*gate=*/false);
   table.Print(std::cout);
   std::cout
-      << "\nExpected shape: zero pooled allocations — scratch vectors and\n"
-         "retired reducer buffers live on the assigner and are recycled,\n"
-         "so a steady-state repair touches the allocator not at all; the\n"
-         "heap baseline re-builds its scratch every update.\n\n";
+      << "\nExpected shape: zero allocations — scratch vectors and retired\n"
+         "reducer buffers live on the assigner and are recycled, so a\n"
+         "steady-state repair touches the allocator not at all.\n\n";
 }
 
 // --- O1d: greedy vs optimal (Hungarian) min-move matching ---
@@ -423,11 +403,10 @@ struct HotPathOutcome {
   double footprint_mb = 0;
 };
 
-HotPathOutcome RunHotPath(online::PartnerSetBackend partner_backend) {
+HotPathOutcome RunHotPath() {
   online::OnlineConfig config;
   config.capacity = kHotCapacity;
   config.policy_spec.name = "never";
-  config.partner_set = partner_backend;
   online::OnlineAssigner assigner(config);
 
   const std::size_t m = kHotGroups * kHotGroupSize;
@@ -482,7 +461,7 @@ HotPathOutcome RunHotPath(online::PartnerSetBackend partner_backend) {
 
 void PrintHotPathTable(CsvWriter* csv) {
   TablePrinter table(
-      "O1b: LiveState partner-set backends at m = 10,200 (52M pairs, "
+      "O1b: LiveState repair hot path at m = 10,200 (52M pairs, "
       "triangular coverage)");
   table.SetHeader({"backend", "seed ms", "remove p50 us", "remove p99 us",
                    "regrow p50 us", "regrow p99 us", "add p50 us",
@@ -490,39 +469,25 @@ void PrintHotPathTable(CsvWriter* csv) {
   csv->WriteRow({"table", "backend", "seed_ms", "remove_p50_us",
                  "remove_p99_us", "regrow_p50_us", "regrow_p99_us",
                  "add_p50_us", "add_p99_us", "cover_mb"});
-  const struct {
-    const char* name;
-    online::PartnerSetBackend partner;
-  } backends[] = {
-      {"triangular+bitmap", online::PartnerSetBackend::kBitmap},
-      {"triangular+hashset", online::PartnerSetBackend::kHashSet},
-  };
-  for (const auto& entry : backends) {
-    const HotPathOutcome outcome = RunHotPath(entry.partner);
-    table.AddRow({entry.name, TablePrinter::Fmt(outcome.seed_ms, 0),
-                  TablePrinter::Fmt(outcome.remove_p50, 1),
-                  TablePrinter::Fmt(outcome.remove_p99, 1),
-                  TablePrinter::Fmt(outcome.regrow_p50, 1),
-                  TablePrinter::Fmt(outcome.regrow_p99, 1),
-                  TablePrinter::Fmt(outcome.add_p50, 1),
-                  TablePrinter::Fmt(outcome.add_p99, 1),
-                  TablePrinter::Fmt(outcome.footprint_mb, 0)});
-    csv->WriteRow({"O1b", entry.name,
-                   TablePrinter::Fmt(outcome.seed_ms, 0),
-                   TablePrinter::Fmt(outcome.remove_p50, 1),
-                   TablePrinter::Fmt(outcome.remove_p99, 1),
-                   TablePrinter::Fmt(outcome.regrow_p50, 1),
-                   TablePrinter::Fmt(outcome.regrow_p99, 1),
-                   TablePrinter::Fmt(outcome.add_p50, 1),
-                   TablePrinter::Fmt(outcome.add_p99, 1),
-                   TablePrinter::Fmt(outcome.footprint_mb, 0)});
-  }
+  const HotPathOutcome outcome = RunHotPath();
+  std::vector<std::string> row = {
+      "triangular+bitmap",
+      TablePrinter::Fmt(outcome.seed_ms, 0),
+      TablePrinter::Fmt(outcome.remove_p50, 1),
+      TablePrinter::Fmt(outcome.remove_p99, 1),
+      TablePrinter::Fmt(outcome.regrow_p50, 1),
+      TablePrinter::Fmt(outcome.regrow_p99, 1),
+      TablePrinter::Fmt(outcome.add_p50, 1),
+      TablePrinter::Fmt(outcome.add_p99, 1),
+      TablePrinter::Fmt(outcome.footprint_mb, 0)};
+  table.AddRow(row);
+  row.insert(row.begin(), "O1b");
+  csv->WriteRow(row);
   table.Print(std::cout);
   std::cout
       << "\nExpected shape: the add path scans every alive partner\n"
-         "through the uncovered set: the rank bitmap (one array read per\n"
-         "membership test) beats the unordered_set baseline's hash\n"
-         "probes. Coverage is the dense triangular array at a fixed 4\n"
+         "through the uncovered set (one rank-bitmap read per membership\n"
+         "test). Coverage is the dense triangular array at a fixed 4\n"
          "bytes per alive pair.\n\n";
 }
 

@@ -91,14 +91,12 @@ std::vector<ItemIndex> DecreasingOrder(const std::vector<uint64_t>& sizes) {
 
 }  // namespace
 
-void FirstFitPacker::Reset(std::size_t max_items, uint64_t capacity,
-                           FirstFitDescent descent) {
+void FirstFitPacker::Reset(std::size_t max_items, uint64_t capacity) {
   MSP_CHECK_GT(capacity, 0u);
   n_ = 1;
   while (n_ < std::max<std::size_t>(max_items, 1)) n_ *= 2;
   capacity_ = capacity;
   bins_used_ = 0;
-  descent_ = descent;
   // Every slot starts with full residual capacity; bins_used_ tracks
   // how many slots have actually been opened.
   tree_.assign(2 * n_, capacity);
@@ -109,11 +107,6 @@ std::size_t FirstFitPacker::Place(uint64_t w) {
   MSP_CHECK_GT(n_, 0u) << "FirstFitPacker used before Reset";
   MSP_CHECK_LE(w, capacity_);
   MSP_CHECK_GE(tree_[1], w) << "first-fit tree out of slots";
-  return descent_ == FirstFitDescent::kBranchless ? PlaceBranchless(w)
-                                                  : PlaceBranching(w);
-}
-
-std::size_t FirstFitPacker::PlaceBranchless(uint64_t w) {
   // Probe: pure arithmetic descent — step right exactly when the left
   // child cannot fit `w`. The comparison feeds an index computation,
   // not a conditional jump, so adversarial size streams cannot make
@@ -127,24 +120,6 @@ std::size_t FirstFitPacker::PlaceBranchless(uint64_t w) {
   // Pull: unconditional bottom-up max refresh, no per-level early-out.
   for (node >>= 1; node != 0; node >>= 1) {
     tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
-  }
-  bins_used_ = std::max(bins_used_, bin + 1);
-  return bin;
-}
-
-std::size_t FirstFitPacker::PlaceBranching(uint64_t w) {
-  // The original data-dependent descent, kept as the benchmark and
-  // differential-test baseline for the branchless probe above.
-  std::size_t node = 1;
-  while (node < n_) {
-    node *= 2;
-    if (tree_[node] < w) ++node;  // go right
-  }
-  const std::size_t bin = node - n_;
-  tree_[node] -= w;
-  for (node /= 2; node >= 1; node /= 2) {
-    tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
-    if (node == 1) break;
   }
   bins_used_ = std::max(bins_used_, bin + 1);
   return bin;

@@ -38,32 +38,24 @@ inline constexpr Algorithm kAllAlgorithms[] = {
 /// Human-readable name ("FFD", "BF", ...).
 std::string AlgorithmName(Algorithm algorithm);
 
-/// Descent mode of the first-fit segment tree (see FirstFitPacker).
-/// Branchless replaces the data-dependent go-left/go-right branch of
-/// the probe loop with arithmetic (node = 2*node + (left < w)), so
-/// adversarial size streams cannot make the descent mispredict;
-/// branching is the original loop, kept for benchmarks and
-/// differential tests.
-enum class FirstFitDescent : uint8_t { kBranchless = 0, kBranching = 1 };
-
 /// Reusable first-fit placer: a lazy segment tree over bin residual
 /// capacities answering "leftmost bin with residual >= w" in O(log n)
 /// per item. Slots open lazily left-to-right, so the leftmost fitting
-/// slot is exactly FirstFit's target bin. Reset re-arms for a fresh
-/// packing while retaining the tree buffer — batches of packings pay
-/// no per-pack allocation once the high-water mark is reached.
+/// slot is exactly FirstFit's target bin. The descent is branchless
+/// (node = 2*node + (left < w)), so adversarial size streams cannot
+/// make it mispredict. Reset re-arms for a fresh packing while
+/// retaining the tree buffer — batches of packings pay no per-pack
+/// allocation once the high-water mark is reached.
 class FirstFitPacker {
  public:
   FirstFitPacker() = default;
-  FirstFitPacker(std::size_t max_items, uint64_t capacity,
-                 FirstFitDescent descent = FirstFitDescent::kBranchless) {
-    Reset(max_items, capacity, descent);
+  FirstFitPacker(std::size_t max_items, uint64_t capacity) {
+    Reset(max_items, capacity);
   }
 
   /// Re-arms for a fresh packing of up to `max_items` items into bins
   /// of `capacity` (> 0, checked).
-  void Reset(std::size_t max_items, uint64_t capacity,
-             FirstFitDescent descent = FirstFitDescent::kBranchless);
+  void Reset(std::size_t max_items, uint64_t capacity);
 
   /// Places one item of size `w` (<= capacity, checked) into the
   /// leftmost bin with room and returns that bin's index.
@@ -74,13 +66,9 @@ class FirstFitPacker {
   uint64_t capacity() const { return capacity_; }
 
  private:
-  std::size_t PlaceBranchless(uint64_t w);
-  std::size_t PlaceBranching(uint64_t w);
-
   std::size_t n_ = 0;  // leaf count (power of two); 0 = not armed
   uint64_t capacity_ = 0;
   std::size_t bins_used_ = 0;
-  FirstFitDescent descent_ = FirstFitDescent::kBranchless;
   std::vector<uint64_t> tree_;  // 1-indexed max-residual segment tree
 };
 

@@ -897,6 +897,10 @@ int ReplayTraceBudgeted(const online::UpdateTrace& trace,
   if (budgeted.assigner().pending_decision_updates() > 0) {
     budgeted.PolicyCheckpoint();
   }
+  // Translation failures bump only the wrapper's rejected counter; the
+  // assigner's own books carry the infeasible ones.
+  stats.skipped =
+      budgeted.rejected_total() - budgeted.assigner().totals().rejected;
 
   const bool respected = max_window_spend <= budget.bytes_per_window;
   TablePrinter table("churn budget");
@@ -1012,6 +1016,26 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
   }
   if (!obs_session.Finish(err)) return 2;
   return PrintReplayReport(assigner, stats, out, err);
+}
+
+// Oracle-checks every instance of a quiescent `service`, printing one
+// `instance=... valid=yes|NO` line per instance to `out` and the
+// reason for each invalid one to `err`. Returns whether all are valid.
+bool ReportInstances(const serving::ServingService& service,
+                     std::ostream& out, std::ostream& err) {
+  bool all_valid = true;
+  service.ForEachInstance([&](const std::string& key,
+                              const online::OnlineAssigner& assigner) {
+    std::string error;
+    const bool valid = assigner.ValidateNow(&error);
+    all_valid = all_valid && valid;
+    out << "instance=" << key << " shard=" << service.ShardOf(key)
+        << " inputs=" << assigner.num_inputs()
+        << " reducers=" << assigner.Schema().num_reducers()
+        << " valid=" << (valid ? "yes" : "NO") << "\n";
+    if (!valid) err << "INVALID instance '" << key << "': " << error << "\n";
+  });
+  return all_valid;
 }
 
 // serve — the sharded serving layer end to end: generate one update
@@ -1190,21 +1214,7 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
     service.PrintStats(err);
     if (parser.Has("stats")) service.planner().PrintStats(err);
 
-    bool all_valid = true;
-    service.ForEachInstance([&](const std::string& key,
-                                const online::OnlineAssigner& assigner) {
-      std::string validate_error;
-      const bool valid = assigner.ValidateNow(&validate_error);
-      all_valid = all_valid && valid;
-      out << "instance=" << key << " shard=" << service.ShardOf(key)
-          << " inputs=" << assigner.num_inputs()
-          << " reducers=" << assigner.Schema().num_reducers()
-          << " valid=" << (valid ? "yes" : "NO") << "\n";
-      if (!valid) {
-        err << "INVALID instance '" << key << "': " << validate_error
-            << "\n";
-      }
-    });
+    const bool all_valid = ReportInstances(service, out, err);
     if (!obs_session.Finish(err)) return 2;
     return all_valid ? 0 : 1;
   }
@@ -1266,18 +1276,7 @@ int CmdServe(const ArgParser& parser, std::ostream& out, std::ostream& err) {
       << " updates/s over " << *shards << " shard(s)\n";
   if (parser.Has("stats")) service.planner().PrintStats(err);
 
-  bool all_valid = true;
-  service.ForEachInstance([&](const std::string& key,
-                              const online::OnlineAssigner& assigner) {
-    std::string error;
-    const bool valid = assigner.ValidateNow(&error);
-    all_valid = all_valid && valid;
-    out << "instance=" << key << " shard=" << service.ShardOf(key)
-        << " inputs=" << assigner.num_inputs()
-        << " reducers=" << assigner.Schema().num_reducers()
-        << " valid=" << (valid ? "yes" : "NO") << "\n";
-    if (!valid) err << "INVALID instance '" << key << "': " << error << "\n";
-  });
+  const bool all_valid = ReportInstances(service, out, err);
   if (!obs_session.Finish(err)) return 2;
   return all_valid ? 0 : 1;
 }
@@ -1478,20 +1477,7 @@ int CmdRecover(const ArgParser& parser, std::ostream& out,
   }
   service.Flush();
   service.PrintStats(err);
-  bool all_valid = true;
-  service.ForEachInstance([&](const std::string& key,
-                              const online::OnlineAssigner& assigner) {
-    std::string why;
-    const bool valid = assigner.ValidateNow(&why);
-    all_valid = all_valid && valid;
-    out << "instance=" << key << " shard=" << service.ShardOf(key)
-        << " inputs=" << assigner.num_inputs()
-        << " reducers=" << assigner.Schema().num_reducers()
-        << " valid=" << (valid ? "yes" : "NO") << "\n";
-    if (!valid) {
-      err << "INVALID instance '" << key << "': " << why << "\n";
-    }
-  });
+  const bool all_valid = ReportInstances(service, out, err);
   err << "recovered: shards=" << num_shards
       << " instances=" << service.stats().total.instances
       << " valid=" << (all_valid ? "yes" : "NO") << "\n";

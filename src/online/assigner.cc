@@ -64,8 +64,6 @@ OnlineAssigner::OnlineAssigner(const OnlineConfig& config)
       << "unknown policy spec '" << config.policy_spec.name << "'";
   state_.x2y = config.x2y;
   state_.capacity = config.capacity;
-  state_.partner_set = config.partner_set;
-  state_.repair_storage = config.repair_storage;
   if (obs::Registry* reg = config_.metrics) {
     for (const UpdateKind kind :
          {UpdateKind::kAddInput, UpdateKind::kRemoveInput,
@@ -385,8 +383,6 @@ bool OnlineAssigner::Seed(const std::vector<InputSize>& sizes,
     state_ = LiveState{};
     state_.x2y = config_.x2y;
     state_.capacity = config_.capacity;
-    state_.partner_set = config_.partner_set;
-    state_.repair_storage = config_.repair_storage;
     if (error != nullptr) *error = why;
     return false;
   };

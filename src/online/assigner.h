@@ -65,19 +65,6 @@ struct OnlineConfig {
   std::shared_ptr<ReplanPolicy> policy;
   /// Declarative policy selection, used when `policy` is null.
   PolicySpec policy_spec;
-  /// Backend of CoverStar's uncovered-partner set on the add/regrow
-  /// path (see repair.h). The bitmap over alive ranks is the fast
-  /// default; the unordered_set is the pre-refactor baseline kept for
-  /// benchmarks and differential tests. Not captured by snapshots (a
-  /// pure performance knob — restored assigners use the default).
-  PartnerSetBackend partner_set = PartnerSetBackend::kBitmap;
-  /// Storage strategy of the repair hot path (see repair.h). Pooled
-  /// (the default) keeps scratch vectors and retired reducer buffers
-  /// resident on the LiveState so a steady-state update performs zero
-  /// heap allocations; the heap baseline reallocates per repair (the
-  /// pre-pool behavior) and is kept for benchmarks and differential
-  /// tests. Not captured by snapshots (a pure performance knob).
-  RepairStorage repair_storage = RepairStorage::kPooled;
   /// Matching backend of the min-move delta deploying escalated
   /// re-plans (see delta.h). Greedy max-overlap is the fast default;
   /// the exact Hungarian assignment is the optimal baseline the greedy

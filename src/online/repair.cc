@@ -1,7 +1,6 @@
 #include "online/repair.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "util/check.h"
@@ -12,14 +11,6 @@ namespace {
 
 bool Contains(const Reducer& reducer, InputId id) {
   return std::binary_search(reducer.begin(), reducer.end(), id);
-}
-
-// Selects the scratch the repair call tree works in: the persistent
-// LiveState-resident one (pooled mode) or a fresh per-call local (heap
-// baseline). One code path, two memory provenances — decisions are
-// identical either way.
-RepairScratch* ActiveScratch(LiveState* s, RepairScratch* local) {
-  return s->repair_storage == RepairStorage::kPooled ? &s->scratch : local;
 }
 
 // True when the reducer covers at least one required pair.
@@ -71,10 +62,9 @@ bool RemoveCopy(LiveState* s, std::size_t r, InputId id, ChurnStats* churn) {
   return true;
 }
 
-// Appends a fresh, empty reducer slot with a new stable uid. Pooled
-// storage recycles a retired membership buffer (capacity retained)
-// when one is available; the heap baseline never pools, so the free
-// list stays empty and this always constructs.
+// Appends a fresh, empty reducer slot with a new stable uid, recycling
+// a retired membership buffer (capacity retained) when one is
+// available.
 std::size_t CreateReducer(LiveState* s, ChurnStats* churn) {
   if (!s->reducer_pool.empty()) {
     s->reducers.push_back(std::move(s->reducer_pool.back()));
@@ -97,17 +87,16 @@ void DestroyReducer(LiveState* s, std::size_t r, ChurnStats* churn) {
   ++churn->reducers_destroyed;
 }
 
-// Erases the empty reducer slots left behind by DestroyReducer. In
-// pooled mode the emptied slots' membership buffers are harvested into
-// the free list *before* the move-compaction would overwrite (and
-// free) them; by the trailing resize every dying slot is buffer-less,
-// so nothing is returned to the allocator.
+// Erases the empty reducer slots left behind by DestroyReducer. The
+// emptied slots' membership buffers are harvested into the free list
+// *before* the move-compaction would overwrite (and free) them; by the
+// trailing resize every dying slot is buffer-less, so nothing is
+// returned to the allocator.
 void Compact(LiveState* s) {
-  const bool pooled = s->repair_storage == RepairStorage::kPooled;
   std::size_t out = 0;
   for (std::size_t r = 0; r < s->reducers.size(); ++r) {
     if (s->reducers[r].empty()) {
-      if (pooled && s->reducers[r].capacity() > 0) {
+      if (s->reducers[r].capacity() > 0) {
         s->reducer_pool.push_back(std::move(s->reducers[r]));
         s->reducers[r].clear();
       }
@@ -202,74 +191,52 @@ void AbsorbShrunken(LiveState* s, const std::vector<std::size_t>& candidates,
   }
 }
 
-// CoverStar's uncovered-partner set. The bitmap backend indexes by
-// alive rank (one byte per alive input; the alive set does not mutate
-// while a repair is covering, so ranks are stable); the unordered_set
-// baseline is keyed by input id. Both backends produce identical
-// repair decisions: membership answers are the same, and the only
-// iteration (Drain) is canonicalized by the caller's sort.
+// CoverStar's uncovered-partner set: a bitmap over alive ranks (one
+// byte per alive input; the alive set does not mutate while a repair
+// is covering, so ranks are stable). Membership is one array read, and
+// the dominant loop (counting uncovered partners per candidate
+// reducer) touches one byte per member.
 class PartnerSet {
  public:
-  /// The bitmap lives in `sc` (persistent in pooled mode, per-call in
-  /// the heap baseline); the hash backend always owns its table.
+  /// The bitmap lives in the LiveState's persistent scratch.
   PartnerSet(const LiveState& s, RepairScratch* sc)
-      : backend_(s.partner_set), bits_(&sc->partner_bits) {
-    if (backend_ == PartnerSetBackend::kBitmap) {
-      bits_->assign(s.num_alive(), 0);
-    }
+      : bits_(&sc->partner_bits) {
+    bits_->assign(s.num_alive(), 0);
   }
 
   void Insert(const LiveState& s, InputId id) {
-    if (backend_ == PartnerSetBackend::kBitmap) {
-      uint8_t& bit = (*bits_)[s.alive_pos[id]];
-      count_ += bit == 0 ? 1 : 0;
-      bit = 1;
-      return;
-    }
-    count_ += hash_.insert(id).second ? 1 : 0;
+    uint8_t& bit = (*bits_)[s.alive_pos[id]];
+    count_ += bit == 0 ? 1 : 0;
+    bit = 1;
   }
 
   bool Contains(const LiveState& s, InputId id) const {
-    if (backend_ == PartnerSetBackend::kBitmap) {
-      return (*bits_)[s.alive_pos[id]] != 0;
-    }
-    return hash_.count(id) > 0;
+    return (*bits_)[s.alive_pos[id]] != 0;
   }
 
   void Erase(const LiveState& s, InputId id) {
-    if (backend_ == PartnerSetBackend::kBitmap) {
-      uint8_t& bit = (*bits_)[s.alive_pos[id]];
-      count_ -= bit != 0 ? 1 : 0;
-      bit = 0;
-      return;
-    }
-    count_ -= hash_.erase(id);
+    uint8_t& bit = (*bits_)[s.alive_pos[id]];
+    count_ -= bit != 0 ? 1 : 0;
+    bit = 0;
   }
 
   bool empty() const { return count_ == 0; }
 
-  /// Moves the remaining members into `rest` (unspecified order —
-  /// callers must impose a total order before acting on them).
+  /// Moves the remaining members into `rest` in alive-rank order
+  /// (callers impose their own total order before acting on them).
   void Drain(const LiveState& s, std::vector<InputId>* rest) {
     rest->clear();
     rest->reserve(count_);
-    if (backend_ == PartnerSetBackend::kBitmap) {
-      for (std::size_t rank = 0; rank < bits_->size(); ++rank) {
-        if ((*bits_)[rank] != 0) rest->push_back(s.alive_ids[rank]);
-      }
-      bits_->assign(bits_->size(), 0);
-    } else {
-      rest->assign(hash_.begin(), hash_.end());
-      hash_.clear();
+    for (std::size_t rank = 0; rank < bits_->size(); ++rank) {
+      if ((*bits_)[rank] != 0) rest->push_back(s.alive_ids[rank]);
     }
+    bits_->assign(bits_->size(), 0);
     count_ = 0;
   }
 
  private:
-  PartnerSetBackend backend_;
   std::size_t count_ = 0;
   std::vector<uint8_t>* bits_;  // by alive rank; not owned
-  std::unordered_set<InputId> hash_;
 };
 
 // Covers every pair (id, p), p in `uncovered`, with the AddInput
@@ -417,8 +384,7 @@ void LiveState::RebuildDerived() {
 void RepairAdd(LiveState* s, InputId id, ChurnStats* churn) {
   MSP_CHECK(s != nullptr && churn != nullptr);
   MSP_CHECK(s->alive[id]);
-  RepairScratch local;
-  RepairScratch* sc = ActiveScratch(s, &local);
+  RepairScratch* sc = &s->scratch;
   PartnerSet uncovered(*s, sc);
   for (InputId j : s->alive_ids) {
     if (j != id && s->IsPartner(id, j)) uncovered.Insert(*s, j);
@@ -429,8 +395,7 @@ void RepairAdd(LiveState* s, InputId id, ChurnStats* churn) {
 void RepairRemove(LiveState* s, InputId id, ChurnStats* churn) {
   MSP_CHECK(s != nullptr && churn != nullptr);
   MSP_CHECK(s->alive[id]);
-  RepairScratch local;
-  RepairScratch* sc = ActiveScratch(s, &local);
+  RepairScratch* sc = &s->scratch;
   s->alive[id] = false;
   // Strip the copies while `id` still holds an alive rank: the
   // coverage decrements key off it, and unregistering swap-pops the
@@ -452,8 +417,7 @@ void RepairResize(LiveState* s, InputId id, InputSize new_size,
   MSP_CHECK(s->alive[id]);
   const InputSize old_size = s->sizes[id];
   if (new_size == old_size) return;
-  RepairScratch local;
-  RepairScratch* sc = ActiveScratch(s, &local);
+  RepairScratch* sc = &s->scratch;
   s->sizes[id] = new_size;
   std::vector<std::size_t>& holding = sc->affected;
   holding.clear();
@@ -498,8 +462,7 @@ void RepairCapacity(LiveState* s, InputSize new_capacity, ChurnStats* churn) {
   // Evict members from overflowing reducers: cheapest first, i.e. the
   // member whose pairs here are mostly covered elsewhere; ties prefer
   // the largest size (frees the most room per eviction).
-  RepairScratch local;
-  RepairScratch* sc = ActiveScratch(s, &local);
+  RepairScratch* sc = &s->scratch;
   std::vector<std::pair<InputId, InputId>>& lost = sc->lost;
   lost.clear();
   std::vector<std::size_t>& touched = sc->affected;

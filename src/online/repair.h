@@ -43,31 +43,13 @@
 
 namespace msp::online {
 
-/// Backend of CoverStar's uncovered-partner set (the add/regrow hot
-/// path). The bitmap over alive ranks is the fast default: membership
-/// is one array read instead of a hash probe, and the dominant loop
-/// (counting uncovered partners per candidate reducer) touches one
-/// byte per member. The unordered_set baseline is kept for benchmarks
-/// (`bench_o1_online` add-path row) and differential tests.
-enum class PartnerSetBackend : uint8_t { kBitmap = 0, kHashSet = 1 };
-
-/// Storage strategy of the repair working state. Pooled (the fast
-/// default) keeps every scratch vector resident on the LiveState and
-/// recycles retired reducer membership buffers through a free list, so
-/// a steady-state repair performs zero heap allocations (buffers only
-/// grow at new high-water marks). The heap baseline allocates fresh
-/// vectors per repair call — the pre-pool behavior, kept for
-/// benchmarks and differential tests. Both modes flow through the
-/// identical decision code: only the memory provenance differs, so the
-/// resulting schemas and churn are bit-for-bit equal.
-enum class RepairStorage : uint8_t { kPooled = 0, kHeap = 1 };
-
-/// Scratch state of one repair operation. In pooled mode one instance
-/// lives on the LiveState and is cleared (never freed) between
-/// repairs; in heap mode each repair constructs a fresh local. Fields
-/// are disjoint across the call tree of a single repair: the top-level
-/// lists (affected/evicted/lost) never overlap the CoverStar internals
-/// (partner_bits/order/rest/bins) or the AbsorbShrunken copy.
+/// Scratch state of the repair operations. One instance lives on the
+/// LiveState and is cleared (never freed) between repairs, so a
+/// steady-state repair performs zero heap allocations (buffers only
+/// grow at new high-water marks). Fields are disjoint across the call
+/// tree of a single repair: the top-level lists (affected/evicted/lost)
+/// never overlap the CoverStar internals (partner_bits/order/rest/bins)
+/// or the AbsorbShrunken copy.
 struct RepairScratch {
   std::vector<uint8_t> partner_bits;  // PartnerSet bitmap, by alive rank
   std::vector<InputId> rest;          // partners left after the fill phase
@@ -130,16 +112,11 @@ struct LiveState {
   /// shift, uids do not.
   std::vector<uint64_t> reducer_uids;
   uint64_t next_reducer_uid = 0;
-  /// CoverStar's uncovered-partner backend (see PartnerSetBackend).
-  PartnerSetBackend partner_set = PartnerSetBackend::kBitmap;
-  /// Storage strategy of the repair hot path (see RepairStorage).
-  RepairStorage repair_storage = RepairStorage::kPooled;
   /// Retired reducer membership buffers (emptied, capacity retained),
-  /// recycled by CreateReducer in pooled mode. Compact harvests the
-  /// buffers of destroyed reducers here instead of freeing them.
+  /// recycled by CreateReducer. Compact harvests the buffers of
+  /// destroyed reducers here instead of freeing them.
   std::vector<Reducer> reducer_pool;
-  /// Persistent repair scratch (pooled mode; unused by the heap
-  /// baseline). Cleared between repairs, never freed.
+  /// Persistent repair scratch. Cleared between repairs, never freed.
   RepairScratch scratch;
   /// Optional re-shuffle recorder (not owned, may be null). When set,
   /// every copy placed or deleted is appended as a ReshuffleOp the

@@ -56,7 +56,6 @@ class PairWitnessReducer : public mr::GroupReducer {
 SimulatedCluster::~SimulatedCluster() = default;
 
 ThreadPool* SimulatedCluster::WorkerPool() const {
-  if (!config_.persistent_pool) return nullptr;
   if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(
         std::max<std::size_t>(config_.workers, 1));

@@ -56,12 +56,6 @@ class SimulatedCluster {
     /// publishes mr.* series (kind="reshuffle" for Execute jobs,
     /// kind="oracle" for OracleCheck jobs). Not owned; may be null.
     obs::Registry* metrics = nullptr;
-    /// Keep one worker pool alive across engine jobs. A step's delta
-    /// re-shuffle is a tiny job, so thread spin-up dominates it; the
-    /// persistent pool pays that cost once per cluster instead of
-    /// three times per job. Off = the seed behavior (each engine run
-    /// spawns and joins its own workers), kept for benchmarks.
-    bool persistent_pool = true;
   };
 
   /// Outcome of executing one re-shuffle plan.
@@ -102,8 +96,9 @@ class SimulatedCluster {
   std::size_t num_reducers() const { return hosted_.size(); }
 
  private:
-  /// The shared engine pool (lazily spawned), or null when
-  /// Config::persistent_pool is off. `mutable` because OracleCheck is
+  /// The shared engine pool, lazily spawned and kept alive across
+  /// engine jobs: a step's delta re-shuffle is a tiny job, so thread
+  /// spin-up would dominate it. `mutable` because OracleCheck is
   /// logically const but still runs its job on the shared workers;
   /// callers already serialize Execute/OracleCheck, matching the
   /// one-Run-at-a-time contract of EngineConfig::pool.

@@ -47,8 +47,7 @@ ClusterSimulator::ClusterSimulator(const SimConfig& config)
       assigner_(SimOnlineConfig(config)),
       cluster_(SimulatedCluster::Config{
           .workers = config.shards == 0 ? 1 : config.shards,
-          .metrics = config.metrics,
-          .persistent_pool = config.persistent_pool}) {
+          .metrics = config.metrics}) {
   assigner_.SetMoveLog(&plan_);
   if (obs::Registry* reg = config_.metrics) {
     alloc_bytes_ = reg->counter("sim.alloc_bytes_total");

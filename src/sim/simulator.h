@@ -57,10 +57,6 @@ struct SimConfig {
   /// Run the engine-side partition oracle every N applied steps
   /// (0 disables; it is a full job over the alive inputs).
   uint64_t oracle_every = 0;
-  /// Keep one engine worker pool alive across the simulation's jobs
-  /// (see SimulatedCluster::Config::persistent_pool). Off restores the
-  /// seed behavior: every delta job spawns and joins fresh workers.
-  bool persistent_pool = true;
   /// Optional metrics sink, fanned out to the assigner (online.*
   /// series) and the simulated cluster (mr.* engine series), so one
   /// snapshot reports engine bytes/records next to predicted churn.

@@ -132,21 +132,26 @@ TEST(DifferentialTest, FfdMatchesReferenceOnDecreasingOrder) {
 }
 
 // The branchless probe (arithmetic descent) must place every item in
-// exactly the bin the original branching descent picks — same inputs,
-// same placements, item for item.
-TEST(BinpackDifferentialTest, BranchlessDescentMatchesBranching) {
+// exactly the bin the naive linear scan picks — same inputs, same
+// placements, item for item.
+TEST(BinpackDifferentialTest, BranchlessDescentMatchesLinearScan) {
   Rng rng(123);
   for (int round = 0; round < 20; ++round) {
     const uint64_t capacity = 10 + rng.UniformInt(300);
     const std::size_t n = 1 + rng.UniformInt(500);
-    FirstFitPacker branchless(n, capacity, FirstFitDescent::kBranchless);
-    FirstFitPacker branching(n, capacity, FirstFitDescent::kBranching);
+    std::vector<uint64_t> sizes(n);
+    for (auto& w : sizes) w = 1 + rng.UniformInt(capacity);
+    const Packing reference = ReferenceFirstFit(sizes, capacity, Identity(n));
+    std::vector<std::size_t> bin_of(n);
+    for (std::size_t b = 0; b < reference.bins.size(); ++b) {
+      for (ItemIndex i : reference.bins[b]) bin_of[i] = b;
+    }
+    FirstFitPacker packer(n, capacity);
     for (std::size_t i = 0; i < n; ++i) {
-      const uint64_t w = 1 + rng.UniformInt(capacity);
-      ASSERT_EQ(branchless.Place(w), branching.Place(w))
+      ASSERT_EQ(packer.Place(sizes[i]), bin_of[i])
           << "round " << round << " item " << i;
     }
-    ASSERT_EQ(branchless.bins_used(), branching.bins_used());
+    ASSERT_EQ(packer.bins_used(), reference.bins.size());
   }
 }
 

@@ -39,6 +39,22 @@ CommandResult RunCli(std::vector<const char*> argv) {
   return {code, out.str(), err.str()};
 }
 
+// The value cell of the first "| <metric> | <value> |" table row, or
+// "" when no row carries that metric.
+std::string TableCell(const std::string& text, const std::string& metric) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| " + metric + " ", 0) != 0) continue;
+    const std::size_t start = line.find('|', 1) + 1;
+    const std::size_t end = line.find('|', start);
+    std::string cell = line.substr(start, end - start);
+    cell.erase(0, cell.find_first_not_of(' '));
+    cell.erase(cell.find_last_not_of(' ') + 1);
+    return cell;
+  }
+  return "";
+}
+
 TEST(SizesIoTest, ParsesPlainAndCommented) {
   std::istringstream in("5\n# comment\n7 9\n\n3 # trailing\n");
   std::string error;
@@ -800,6 +816,28 @@ TEST(CommandsTest, OnlineChurnBudgetReplayRespectsTheWindowBudget) {
   EXPECT_NE(replay.err.find(" <= 2000 bytes per window"), std::string::npos);
   EXPECT_EQ(replay.err.find("EXCEEDS"), std::string::npos);
   EXPECT_NE(replay.out.find("mapping-schema v1"), std::string::npos);
+  std::remove(trace_path.c_str());
+}
+
+// A step that targets a rejected add is skipped, not rejected; the
+// budgeted replay must report it like the plain one does.
+TEST(CommandsTest, OnlineChurnBudgetReportsSkippedSteps) {
+  const std::string trace_path = TempPath("budget-skip.trace");
+  WriteFile(trace_path,
+            "update-trace v1 a2a q=100\nadd 30\nadd 20\nadd 80\nremove 2\n"
+            "add 10\nresize 0 25\n");
+  const CommandResult plain =
+      RunCli({"online", "--trace", trace_path.c_str()});
+  const CommandResult budgeted =
+      RunCli({"online", "--trace", trace_path.c_str(),
+              "--churn-budget=1000", "--budget-window=2"});
+  for (const CommandResult* replay : {&plain, &budgeted}) {
+    ASSERT_EQ(replay->code, 0) << replay->err;
+    EXPECT_EQ(TableCell(replay->err, "updates rejected"), "1")
+        << replay->err;
+    EXPECT_EQ(TableCell(replay->err, "steps skipped (bad id)"), "1")
+        << replay->err;
+  }
   std::remove(trace_path.c_str());
 }
 

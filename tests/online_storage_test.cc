@@ -1,10 +1,12 @@
-// Differential tests for the repair-path storage backends: the pooled
-// (allocation-free) storage must make exactly the decisions of the
-// heap baseline on every trace shape, and a warmed-up pooled assigner
+// Tests for the repair path's pooled storage (scratch vectors and
+// retired reducer buffers resident on the LiveState). Warm pools must
+// not change a decision: an assigner restored from a snapshot, whose
+// pools start empty, must make exactly the decisions of the
+// uninterrupted one on every trace shape. And a warmed-up assigner
 // must execute a steady-state repair window without touching the heap
 // at all — the claim is gated on the assigner's own published
-// allocation counters, with the heap baseline proving on the same
-// window that the gate measures something.
+// allocation counters, with a cold restored copy proving on the same
+// window that the measurement sees something.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,22 +19,30 @@
 #include "obs/alloc.h"
 #include "obs/metrics.h"
 #include "online/assigner.h"
-#include "online/policy.h"
 #include "online/repair.h"
+#include "online/snapshot.h"
 #include "online/trace.h"
 #include "workload/updates.h"
 
 namespace msp::online {
 namespace {
 
-OnlineConfig NeverReplanConfig(InputSize capacity, bool x2y,
-                               RepairStorage storage) {
+// The policy is selected by spec, not supplied directly, so that
+// snapshots capture it.
+OnlineConfig NeverReplanConfig(InputSize capacity, bool x2y) {
   OnlineConfig config;
   config.x2y = x2y;
   config.capacity = capacity;
-  config.policy = std::make_shared<NeverReplanPolicy>();
-  config.repair_storage = storage;
+  config.policy_spec.name = "never";
   return config;
+}
+
+std::unique_ptr<OnlineAssigner> RestoredCopy(const OnlineAssigner& source) {
+  std::string error;
+  auto restored =
+      SnapshotCodec::Restore(SnapshotCodec::Serialize(source), &error);
+  EXPECT_TRUE(restored.has_value()) << error;
+  return restored.has_value() ? std::move(restored->assigner) : nullptr;
 }
 
 std::vector<wl::TraceConfig> Shapes(std::size_t steps) {
@@ -57,52 +67,55 @@ std::vector<wl::TraceConfig> Shapes(std::size_t steps) {
   return shapes;
 }
 
-// Pooled and heap storage share one repair code path — only the memory
-// provenance differs — so every update must produce identical results
-// and identical live schemas, step for step.
+// Warm pools and scratch only change where memory comes from, never a
+// decision. The "heap" side is a copy restored from a snapshot every 7
+// steps, so it keeps running on fresh, empty scratch and reducer pools
+// (every buffer it needs comes from the heap); each update must
+// produce the same result and the same live schema as the
+// uninterrupted run.
 TEST(RepairStorageTest, PooledMatchesHeapOnGeneratedTraces) {
   for (const wl::TraceConfig& shape : Shapes(200)) {
     const UpdateTrace trace = wl::GenerateTrace(shape);
     OnlineAssigner pooled(NeverReplanConfig(trace.initial_capacity,
-                                            trace.x2y,
-                                            RepairStorage::kPooled));
-    OnlineAssigner heap(NeverReplanConfig(trace.initial_capacity,
-                                          trace.x2y, RepairStorage::kHeap));
-    std::vector<std::optional<InputId>> pooled_ids, heap_ids;
-    TraceIdTranslator pooled_translator(&pooled_ids);
-    TraceIdTranslator heap_translator(&heap_ids);
+                                            trace.x2y));
+    std::unique_ptr<OnlineAssigner> heap;
+    std::vector<std::optional<InputId>> live_of_trace;
+    TraceIdTranslator translator(&live_of_trace);
+    std::size_t step = 0;
     for (const Update& update : trace.updates) {
-      Update pooled_live = update;
-      Update heap_live = update;
-      const bool pooled_known = pooled_translator.Translate(&pooled_live);
-      const bool heap_known = heap_translator.Translate(&heap_live);
-      ASSERT_EQ(pooled_known, heap_known);
-      if (!pooled_known) continue;
-      const UpdateResult a = pooled.ApplyDeferred(pooled_live);
-      const UpdateResult b = heap.ApplyDeferred(heap_live);
-      if (pooled_live.kind == UpdateKind::kAddInput) {
-        pooled_translator.RecordAdd(a.applied ? a.new_id : std::nullopt);
-        heap_translator.RecordAdd(b.applied ? b.new_id : std::nullopt);
+      Update live = update;
+      if (!translator.Translate(&live)) continue;
+      if (step++ % 7 == 0) {
+        heap = RestoredCopy(pooled);
+        ASSERT_NE(heap, nullptr) << "shape seed " << shape.seed;
+      }
+      const UpdateResult a = pooled.ApplyDeferred(live);
+      const UpdateResult b = heap->ApplyDeferred(live);
+      if (live.kind == UpdateKind::kAddInput) {
+        translator.RecordAdd(a.applied ? a.new_id : std::nullopt);
       }
       ASSERT_EQ(a.applied, b.applied) << "shape seed " << shape.seed;
+      ASSERT_EQ(a.new_id, b.new_id) << "shape seed " << shape.seed;
       ASSERT_EQ(a.churn, b.churn) << "shape seed " << shape.seed;
-      ASSERT_EQ(pooled.Schema().reducers, heap.Schema().reducers)
+      ASSERT_EQ(pooled.Schema().reducers, heap->Schema().reducers)
           << "shape seed " << shape.seed;
     }
-    EXPECT_EQ(pooled.totals().churn, heap.totals().churn);
+    ASSERT_NE(heap, nullptr);
+    EXPECT_EQ(pooled.totals().churn, heap->totals().churn);
   }
 }
 
 // Drives `assigner` through a deterministic steady-state repair window
-// and returns the allocation count the assigner published for it.
+// and returns the allocations the calling thread made during it (a
+// superset of what the assigner publishes, which needs a registry).
 // The window oscillates the sizes of a fixed set of inputs: every
 // update repairs (evictions, re-covers, reducer churn) but the id
 // space, the alive set, and the load scale all stay fixed — exactly
 // the regime the pooled storage promises to serve allocation-free.
-uint64_t AllocsOverWindow(OnlineAssigner* assigner, obs::Counter* allocs,
+uint64_t AllocsOverWindow(OnlineAssigner* assigner,
                           const std::vector<InputId>& ids,
                           std::size_t cycles) {
-  const uint64_t before = allocs->value();
+  const obs::AllocScope scope;
   for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
     for (const InputId id : ids) {
       const InputSize size = (cycle % 2 == 0) ? 3 : 2;
@@ -113,7 +126,7 @@ uint64_t AllocsOverWindow(OnlineAssigner* assigner, obs::Counter* allocs,
       EXPECT_TRUE(result.applied) << result.error;
     }
   }
-  return allocs->value() - before;
+  return scope.delta().allocs;
 }
 
 struct WarmedAssigner {
@@ -121,10 +134,8 @@ struct WarmedAssigner {
   std::vector<InputId> ids;  // oscillation targets, all alive
 };
 
-// Builds an assigner with the given storage, replays a 300-step mixed
-// trace as warm-up, then runs enough oscillation cycles to push every
-// scratch buffer and the reducer pool to their high-water marks.
-WarmedAssigner WarmUp(RepairStorage storage, obs::Registry* registry) {
+// Builds an assigner and replays a 300-step mixed trace as warm-up.
+WarmedAssigner WarmUp(obs::Registry* registry) {
   wl::TraceConfig shape;
   shape.shape = wl::TraceShape::kMixed;
   shape.initial_inputs = 24;
@@ -136,7 +147,7 @@ WarmedAssigner WarmUp(RepairStorage storage, obs::Registry* registry) {
   const UpdateTrace trace = wl::GenerateTrace(shape);
 
   OnlineConfig config = NeverReplanConfig(trace.initial_capacity,
-                                          trace.x2y, storage);
+                                          trace.x2y);
   config.metrics = registry;
   WarmedAssigner warmed;
   warmed.assigner = std::make_unique<OnlineAssigner>(config);
@@ -164,29 +175,33 @@ TEST(RepairStorageTest, SteadyStateRepairIsAllocationFree) {
   }
   obs::Registry registry;
   obs::Counter* allocs = registry.counter("online.allocs_total");
-  WarmedAssigner warmed = WarmUp(RepairStorage::kPooled, &registry);
+  WarmedAssigner warmed = WarmUp(&registry);
   ASSERT_GE(warmed.ids.size(), 4u);
   // First pass reaches the oscillation's high-water marks...
-  AllocsOverWindow(warmed.assigner.get(), allocs, warmed.ids, 20);
+  AllocsOverWindow(warmed.assigner.get(), warmed.ids, 20);
   // ...after which the steady state is allocation-free: not "few", not
   // "amortized" — zero heap traffic across 160 repairing updates.
-  EXPECT_EQ(
-      AllocsOverWindow(warmed.assigner.get(), allocs, warmed.ids, 20), 0u);
+  const uint64_t published_before = allocs->value();
+  EXPECT_EQ(AllocsOverWindow(warmed.assigner.get(), warmed.ids, 20), 0u);
+  EXPECT_EQ(allocs->value(), published_before);
 }
 
-// The same window on the heap baseline must allocate — otherwise the
-// zero above would be vacuous (a gate that cannot fail gates nothing).
+// The same window on a copy restored from a snapshot of the warmed
+// assigner — identical state, but empty scratch and reducer pools —
+// must allocate; otherwise the zero above would be vacuous (a gate
+// that cannot fail gates nothing).
 TEST(RepairStorageTest, HeapBaselineAllocatesOnTheSameWindow) {
   if (!obs::AllocCountingActive()) {
     GTEST_SKIP() << "counting allocator interposed (sanitizer build)";
   }
   obs::Registry registry;
-  obs::Counter* allocs = registry.counter("online.allocs_total");
-  WarmedAssigner warmed = WarmUp(RepairStorage::kHeap, &registry);
+  WarmedAssigner warmed = WarmUp(&registry);
   ASSERT_GE(warmed.ids.size(), 4u);
-  AllocsOverWindow(warmed.assigner.get(), allocs, warmed.ids, 20);
-  EXPECT_GT(
-      AllocsOverWindow(warmed.assigner.get(), allocs, warmed.ids, 20), 0u);
+  AllocsOverWindow(warmed.assigner.get(), warmed.ids, 20);
+  const std::unique_ptr<OnlineAssigner> cold =
+      RestoredCopy(*warmed.assigner);
+  ASSERT_NE(cold, nullptr);
+  EXPECT_GT(AllocsOverWindow(cold.get(), warmed.ids, 20), 0u);
 }
 
 }  // namespace
