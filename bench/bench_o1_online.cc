@@ -104,6 +104,7 @@ struct ReplayOutcome {
   double p50_update_us = 0;
   double p99_update_us = 0;
   online::OnlineTotals totals;
+  uint64_t plans_computed = 0;  // planner calls that returned a schema
   online::QualitySnapshot quality;
 };
 
@@ -115,6 +116,8 @@ ReplayOutcome Replay(const online::UpdateTrace& trace,
   config.policy = strategy.policy;
   config.full_reassign_on_replan = strategy.full_reassign;
   config.plan_options.use_portfolio = false;
+  obs::Registry registry;
+  config.metrics = &registry;
   online::OnlineAssigner assigner(config);
   std::vector<double> update_us;
   update_us.reserve(trace.updates.size());
@@ -129,6 +132,8 @@ ReplayOutcome Replay(const online::UpdateTrace& trace,
   outcome.p50_update_us = latency.Percentile(50.0);
   outcome.p99_update_us = latency.Percentile(99.0);
   outcome.totals = assigner.totals();
+  outcome.plans_computed =
+      registry.counter("online.plans_computed_total")->value();
   outcome.quality = assigner.Quality();
   return outcome;
 }
@@ -138,10 +143,11 @@ void PrintComparisonTable(bool smoke, CsvWriter* csv,
   TablePrinter table(
       "O1: online strategies — latency, churn, and quality per trace");
   table.SetHeader({"trace", "strategy", "us/update", "p50 us", "p99 us",
-                   "inputs moved", "bytes moved", "replans", "z", "z/LB"});
+                   "inputs moved", "bytes moved", "plans", "replans", "z",
+                   "z/LB"});
   csv->WriteRow({"table", "trace", "strategy", "us_per_update", "p50_us",
-                 "p99_us", "inputs_moved", "bytes_moved", "replans",
-                 "reducers", "reducers_over_lb"});
+                 "p99_us", "inputs_moved", "bytes_moved", "plans_computed",
+                 "replans", "reducers", "reducers_over_lb"});
   for (const TraceShape& shape : MakeShapes(smoke)) {
     const online::UpdateTrace trace = wl::GenerateTrace(shape.config);
     for (const Strategy& strategy : MakeStrategies()) {
@@ -157,6 +163,7 @@ void PrintComparisonTable(bool smoke, CsvWriter* csv,
                     TablePrinter::Fmt(outcome.p99_update_us, 1),
                     TablePrinter::Fmt(outcome.totals.churn.inputs_moved),
                     TablePrinter::Fmt(outcome.totals.churn.bytes_moved),
+                    TablePrinter::Fmt(outcome.plans_computed),
                     TablePrinter::Fmt(outcome.totals.replans),
                     TablePrinter::Fmt(outcome.quality.live_reducers),
                     TablePrinter::Fmt(gap)});
@@ -167,6 +174,7 @@ void PrintComparisonTable(bool smoke, CsvWriter* csv,
            TablePrinter::Fmt(outcome.p99_update_us, 1),
            std::to_string(outcome.totals.churn.inputs_moved),
            std::to_string(outcome.totals.churn.bytes_moved),
+           std::to_string(outcome.plans_computed),
            std::to_string(outcome.totals.replans),
            std::to_string(outcome.quality.live_reducers),
            TablePrinter::Fmt(gap)});
@@ -179,6 +187,8 @@ void PrintComparisonTable(bool smoke, CsvWriter* csv,
       json->Add(key + ".inputs_moved",
                 static_cast<double>(outcome.totals.churn.inputs_moved),
                 "inputs");
+      json->Add(key + ".plans_computed",
+                static_cast<double>(outcome.plans_computed), "plans");
       json->Add(key + ".replans",
                 static_cast<double>(outcome.totals.replans), "replans");
       json->Add(key + ".reducers",

@@ -91,7 +91,6 @@ void PrintQualityTable(CsvWriter* csv) {
     const auto in = A2AInstance::Create(shape.sizes, shape.q).value();
     auto auto_schema = SolveA2AAuto(in);
     if (!auto_schema.has_value()) continue;
-    planner::ApplyMergePass(in, &*auto_schema);
     const SchemaStats auto_stats = SchemaStats::Compute(in, *auto_schema);
 
     planner::PlannerService service;

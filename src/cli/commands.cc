@@ -436,17 +436,14 @@ void PrintScoreboard(const planner::PlanResult& result, std::ostream& err) {
   // Scoreboard values are in canonical (gcd-scaled) size units; the
   // summary line above reports the de-canonicalized (original) costs.
   TablePrinter table("portfolio scoreboard (canonical units)");
-  table.SetHeader({"algorithm", "reducers", "communication", "merged away",
-                   "micros"});
+  table.SetHeader({"algorithm", "reducers", "communication", "micros"});
   for (const planner::AlgorithmScore& score : result.scoreboard) {
     if (!score.produced) {
-      table.AddRow({score.name, "-", "-", "-",
-                    TablePrinter::Fmt(score.micros)});
+      table.AddRow({score.name, "-", "-", TablePrinter::Fmt(score.micros)});
       continue;
     }
     table.AddRow({score.name, TablePrinter::Fmt(score.reducers),
                   TablePrinter::Fmt(score.communication),
-                  TablePrinter::Fmt(score.merged_away),
                   TablePrinter::Fmt(score.micros)});
   }
   table.Print(err);
@@ -454,7 +451,8 @@ void PrintScoreboard(const planner::PlanResult& result, std::ostream& err) {
 
 // plan — run the PlannerService (canonicalization + plan cache +
 // portfolio) on an A2A instance (--sizes) or X2Y pair
-// (--x-sizes/--y-sizes). --repeat demonstrates the warm cache path;
+// (--x-sizes/--y-sizes). --repeat demonstrates the warm cache path
+// (portfolio plans only; --portfolio=0 solves on every repeat);
 // --stats prints the service counters (hit rate, portfolio vs auto
 // runs) after all repeats.
 int CmdPlan(const ArgParser& parser, std::ostream& out, std::ostream& err) {

@@ -90,6 +90,7 @@ void RegisterStandardMetrics(Registry* registry) {
   registry->counter("online.policy_consults_total");
   registry->counter("online.repairs_total");
   registry->counter("online.replans_total");
+  registry->counter("online.plans_computed_total");
   registry->histogram("online.repair_latency_us");
   // serving.*
   registry->counter("serving.tasks_processed_total");

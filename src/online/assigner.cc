@@ -86,6 +86,7 @@ OnlineAssigner::OnlineAssigner(const OnlineConfig& config)
     pub_.policy_consults = reg->counter("online.policy_consults_total");
     pub_.repairs = reg->counter("online.repairs_total");
     pub_.replans = reg->counter("online.replans_total");
+    pub_.plans_computed = reg->counter("online.plans_computed_total");
     pub_.alloc_bytes = reg->counter("online.alloc_bytes_total");
     pub_.allocs = reg->counter("online.allocs_total");
   }
@@ -511,6 +512,7 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
           ? planner_->Plan(*dense->a2a, config_.plan_options)
           : planner_->Plan(*dense->x2y, config_.plan_options);
   if (!plan.schema.has_value()) return;  // cannot happen on feasible state
+  if (pub_.plans_computed != nullptr) pub_.plans_computed->Inc();
 
   // The planner was consulted: the drift clock restarts whether or not
   // the fresh plan is deployed, and the fresh plan's quality is

@@ -87,7 +87,8 @@ struct OnlineConfig {
   /// Planner used for escalated re-plans. When null, the assigner owns
   /// a private single-worker PlannerService built from `planner`; a
   /// shared service (thread-safe, e.g. one per ServingService) lets
-  /// many assigners pool the plan cache.
+  /// many assigners pool one planner (and, for portfolio plans, one
+  /// plan cache; auto plans are never cached).
   std::shared_ptr<planner::PlannerService> shared_planner;
   /// Configuration of the internally-owned PlannerService. The default
   /// single worker keeps per-assigner overhead small.
@@ -310,6 +311,7 @@ class OnlineAssigner {
     obs::Counter* policy_consults = nullptr;
     obs::Counter* repairs = nullptr;
     obs::Counter* replans = nullptr;
+    obs::Counter* plans_computed = nullptr;  // deployed or not
     obs::Counter* alloc_bytes = nullptr;  // online.alloc_bytes_total
     obs::Counter* allocs = nullptr;       // online.allocs_total
   };

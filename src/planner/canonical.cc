@@ -127,20 +127,15 @@ PlanKey MakeKey(const X2YInstance& canonical) {
 }
 
 MappingSchema Decanonicalize(const std::vector<InputId>& original_ids,
-                             const MappingSchema& canonical_schema) {
-  MappingSchema original;
-  original.reducers.reserve(canonical_schema.reducers.size());
-  for (const Reducer& reducer : canonical_schema.reducers) {
-    Reducer rewritten;
-    rewritten.reserve(reducer.size());
-    for (InputId id : reducer) {
+                             MappingSchema schema) {
+  for (Reducer& reducer : schema.reducers) {
+    for (InputId& id : reducer) {
       MSP_CHECK_LT(id, original_ids.size());
-      rewritten.push_back(original_ids[id]);
+      id = original_ids[id];
     }
-    std::sort(rewritten.begin(), rewritten.end());
-    original.AddReducer(std::move(rewritten));
+    std::sort(reducer.begin(), reducer.end());
   }
-  return original;
+  return schema;
 }
 
 }  // namespace msp::planner

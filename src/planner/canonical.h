@@ -78,8 +78,9 @@ PlanKey MakeKey(const X2YInstance& canonical);
 
 /// Rewrites a schema over canonical ids into one over original ids
 /// (reducers keep their structure; members are remapped and re-sorted).
+/// Works in place on `schema`: pass an rvalue to skip the copy.
 MappingSchema Decanonicalize(const std::vector<InputId>& original_ids,
-                             const MappingSchema& canonical_schema);
+                             MappingSchema schema);
 
 }  // namespace msp::planner
 

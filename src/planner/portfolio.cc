@@ -18,9 +18,8 @@ struct Candidate {
   std::function<std::optional<MappingSchema>(const Instance&)> solve;
 };
 
-// Runs candidate `index`, applies the merge post-pass, and fills the
-// matching scoreboard slot (each task touches only its own slot, so the
-// tasks are data-race free without locking).
+// Runs one candidate and fills its scoreboard slot (each task touches
+// only its own slot, so the tasks are data-race free without locking).
 template <typename Instance>
 void RunCandidate(const Instance& in, const Candidate<Instance>& candidate,
                   AlgorithmScore* score,
@@ -30,7 +29,6 @@ void RunCandidate(const Instance& in, const Candidate<Instance>& candidate,
   *schema = candidate.solve(in);
   if (schema->has_value()) {
     score->produced = true;
-    score->merged_away = ApplyMergePass(in, &**schema);
     const SchemaStats stats = SchemaStats::Compute(in, **schema);
     score->reducers = stats.num_reducers;
     score->communication = stats.communication_cost;

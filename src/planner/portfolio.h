@@ -5,8 +5,8 @@
 // relative to q, big/small under heavy skew), and picking the best one
 // per instance is exactly the NP-hard tension the paper analyzes. The
 // portfolio sidesteps the prediction problem: it runs all applicable
-// solvers — concurrently when given a ThreadPool — follows each with
-// the MergeReducers post-pass, and scores candidates by reducer count,
+// solvers — concurrently when given a ThreadPool — and scores the
+// constructions as they come, with no post-pass, by reducer count,
 // then communication cost. The `auto` dispatcher is always one of the
 // candidates, so the portfolio winner is never worse than
 // SolveA2AAuto / SolveX2YAuto.
@@ -20,30 +20,12 @@
 #include <vector>
 
 #include "core/a2a.h"
-#include "core/improve.h"
 #include "core/instance.h"
 #include "core/schema.h"
 #include "core/x2y.h"
 #include "util/thread_pool.h"
 
 namespace msp::planner {
-
-/// The MergeReducers post-pass is quadratic in the reducer count, and
-/// the A3 ablation (bench_a3_improve) shows it recovers almost nothing
-/// for the bin-packing constructions; above this many reducers the
-/// portfolio skips it to keep large plans fast.
-inline constexpr uint64_t kMergePassMaxReducers = 4096;
-
-/// Applies the MergeReducers post-pass unless the schema is above
-/// kMergePassMaxReducers. Returns the number of reducers merged away.
-/// Every consumer of the cap (portfolio, budget fallback, benchmarks)
-/// goes through this helper so the policy cannot diverge.
-template <typename Instance>
-uint64_t ApplyMergePass(const Instance& in, MappingSchema* schema) {
-  if (schema->num_reducers() > kMergePassMaxReducers) return 0;
-  const ImproveStats merged = MergeReducers(in, schema);
-  return merged.reducers_before - merged.reducers_after;
-}
 
 /// One row of the per-algorithm scoreboard.
 struct AlgorithmScore {
@@ -52,12 +34,10 @@ struct AlgorithmScore {
   bool produced = false;
   uint64_t reducers = 0;
   uint64_t communication = 0;
-  /// Reducers removed by the MergeReducers post-pass.
-  uint64_t merged_away = 0;
-  uint64_t micros = 0;  // wall time of solve + merge
+  uint64_t micros = 0;  // wall time of the solve
 };
 
-/// Portfolio outcome: the winning (merged) schema plus the scoreboard.
+/// Portfolio outcome: the winning schema plus the scoreboard.
 struct PortfolioResult {
   std::optional<MappingSchema> best;  // nullopt: infeasible instance
   std::string best_algorithm;
@@ -69,12 +49,11 @@ struct PortfolioResult {
 };
 
 /// Runs the A2A candidates (auto, equal-grouping, binpack-pairing,
-/// binpack-triples, binpack-4groups, big-small), each followed by
-/// MergeReducers. Tasks run on `pool` when non-null (the call still
-/// blocks until its own tasks finish; other users' pool tasks are not
-/// waited on), inline otherwise. The winner minimizes (reducers,
-/// communication), ties broken by candidate order — deterministic with
-/// and without a pool.
+/// binpack-triples, binpack-4groups, big-small). Tasks run on `pool`
+/// when non-null (the call still blocks until its own tasks finish;
+/// other users' pool tasks are not waited on), inline otherwise. The
+/// winner minimizes (reducers, communication), ties broken by candidate
+/// order — deterministic with and without a pool.
 PortfolioResult RunPortfolio(const A2AInstance& in, ThreadPool* pool,
                              const A2AOptions& options = {});
 

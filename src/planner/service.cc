@@ -70,46 +70,43 @@ PlanResult PlannerService::PlanImpl(const Instance& instance,
   obs::AllocScope alloc_scope(pub_.alloc_bytes, pub_.allocs);
   Stopwatch watch;
   PlanResult result;
-  bool used_portfolio = false;
 
   const auto canonical = Canonicalize(instance);
-  const PlanKey key = MakeKey(canonical.instance);
+  const bool used_portfolio =
+      opts.use_portfolio && (opts.budget_ms <= 0.0 ||
+                             opts.budget_ms >= config_.portfolio_min_budget_ms);
 
-  if (auto cached = cache_.Lookup(key)) {
-    // Warm path: no solving, just rewrite the canonical schema back to
-    // the original ids.
-    result.cache_hit = true;
-    result.algorithm = cached->algorithm;
-    result.schema = Decanonicalize(canonical.original_ids, cached->schema);
+  if (!used_portfolio) {
+    // The paper's construction as is: one dispatcher solve, no merge
+    // post-pass and no cache traffic (a drifting size vector almost
+    // never repeats, so a lookup would only pay for a key and a copy).
+    if (auto schema = SolveAuto(canonical.instance)) {
+      result.algorithm = "auto";
+      result.schema =
+          Decanonicalize(canonical.original_ids, std::move(*schema));
+    }
   } else {
-    std::optional<MappingSchema> canonical_schema;
-    const bool portfolio =
-        opts.use_portfolio && (opts.budget_ms <= 0.0 ||
-                               opts.budget_ms >= config_.portfolio_min_budget_ms);
-    if (portfolio) {
-      used_portfolio = true;
+    const PlanKey key = MakeKey(canonical.instance);
+    if (auto cached = cache_.Lookup(key)) {
+      // Warm path: no solving, just rewrite the canonical schema back
+      // to the original ids.
+      result.cache_hit = true;
+      result.algorithm = cached->algorithm;
+      result.schema = Decanonicalize(canonical.original_ids, cached->schema);
+    } else {
       PortfolioResult run = RunPortfolio(canonical.instance, pool);
       result.scoreboard = std::move(run.scoreboard);
       result.algorithm = run.best_algorithm;
-      canonical_schema = std::move(run.best);
-    } else {
-      canonical_schema = SolveAuto(canonical.instance);
-      if (canonical_schema.has_value()) {
-        ApplyMergePass(canonical.instance, &*canonical_schema);
-        result.algorithm = "auto";
+      if (run.best.has_value()) {
+        auto plan = std::make_shared<CachedPlan>();
+        const AlgorithmScore& best = result.scoreboard[run.best_index];
+        plan->algorithm = result.algorithm;
+        plan->num_reducers = best.reducers;
+        plan->communication = best.communication;
+        plan->schema = std::move(*run.best);
+        result.schema = Decanonicalize(canonical.original_ids, plan->schema);
+        cache_.Insert(key, std::move(plan));
       }
-    }
-    if (canonical_schema.has_value()) {
-      auto plan = std::make_shared<CachedPlan>();
-      const SchemaStats canonical_stats =
-          SchemaStats::Compute(canonical.instance, *canonical_schema);
-      plan->algorithm = result.algorithm;
-      plan->num_reducers = canonical_stats.num_reducers;
-      plan->communication = canonical_stats.communication_cost;
-      plan->schema = *canonical_schema;
-      cache_.Insert(key, std::move(plan));
-      result.schema =
-          Decanonicalize(canonical.original_ids, *canonical_schema);
     }
   }
 
@@ -192,14 +189,16 @@ void PlannerService::RecordPlan(const PlanResult& result, bool is_a2a,
   }
   if (pub_.plans == nullptr) return;
   pub_.plans->Inc();
+  if (!result.schema.has_value()) pub_.infeasible->Inc();
+  if (!used_portfolio) {
+    if (result.schema.has_value()) pub_.auto_runs->Inc();
+    return;  // auto plans never touch the cache
+  }
   if (result.cache_hit) {
     pub_.cache_hits->Inc();
   } else {
     pub_.cache_misses->Inc();
-  }
-  if (!result.schema.has_value()) pub_.infeasible->Inc();
-  if (!result.cache_hit && result.schema.has_value()) {
-    if (used_portfolio) {
+    if (result.schema.has_value()) {
       pub_.portfolio_runs->Inc();
       // A portfolio win is attributed to the algorithm that produced
       // the deployed schema.
@@ -207,13 +206,11 @@ void PlannerService::RecordPlan(const PlanResult& result, bool is_a2a,
           ->counter("planner.portfolio_wins_total",
                     {{"algorithm", result.algorithm}})
           ->Inc();
-    } else {
-      pub_.auto_runs->Inc();
     }
   }
   // Cache occupancy and evictions accrue inside the cache shards;
   // refresh the published view from their counters (cheap relative to
-  // the plan itself).
+  // a portfolio run).
   const PlanCacheStats cache = cache_.stats();
   pub_.cache_entries->Set(static_cast<int64_t>(cache.entries));
   {

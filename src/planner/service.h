@@ -1,14 +1,24 @@
 // PlannerService — thread-safe planning facade over src/core.
 //
 // The service answers "which mapping schema, for this size vector and
-// q" fast and repeatedly: requests are canonicalized (canonical.h) so
-// permuted / uniformly-scaled instances share one plan, looked up in a
-// sharded LRU plan cache (plan_cache.h), and solved on a miss by the
-// concurrent algorithm portfolio (portfolio.h) — or by the cheaper
-// SolveA2AAuto / SolveX2YAuto dispatcher when the caller's time budget
-// is too tight for the portfolio. Cache hits do no solving at all: the
-// cached canonical schema is rewritten back to the request's original
-// input ids and returned.
+// q" fast and repeatedly. Requests are canonicalized (canonical.h) and
+// take one of two paths:
+//
+//  * auto (PlanOptions::use_portfolio false — the serving default — or
+//    a budget too tight for the portfolio): the SolveA2AAuto /
+//    SolveX2YAuto dispatcher runs on the canonical instance and the
+//    schema is rewritten back to the request's ids. This is the paper's
+//    construction as is: no post-pass and no plan cache, so an auto
+//    plan counts as neither a cache hit nor a miss.
+//  * portfolio: the canonical instance is looked up in a sharded LRU
+//    plan cache (plan_cache.h) — permuted / uniformly-scaled instances
+//    share one entry — and solved on a miss by the concurrent algorithm
+//    portfolio (portfolio.h). Cache hits do no solving at all: the
+//    cached canonical schema is rewritten back to the request's
+//    original input ids and returned.
+//
+// The cache holds only portfolio plans, so neither kind of plan is ever
+// served for the other.
 //
 //   PlannerService planner;
 //   auto in = A2AInstance::Create({8, 6, 4, 2}, 12).value();
@@ -43,7 +53,7 @@ struct PlannerConfig {
   /// Worker threads for portfolio runs and PlanMany batches
   /// (0 = hardware concurrency).
   std::size_t num_threads = 0;
-  /// Number of independent plan-cache shards.
+  /// Number of independent plan-cache shards (portfolio plans only).
   std::size_t cache_shards = 8;
   /// LRU capacity of each shard (total capacity = shards * this).
   std::size_t cache_capacity_per_shard = 256;
@@ -63,7 +73,7 @@ struct PlanOptions {
   bool use_portfolio = true;
   /// Soft time budget in milliseconds; 0 means unlimited. A tight
   /// budget (< PlannerConfig::portfolio_min_budget_ms) selects the
-  /// auto dispatcher instead of the portfolio on a cache miss.
+  /// auto dispatcher (and so skips the cache) instead of the portfolio.
   double budget_ms = 0.0;
 };
 

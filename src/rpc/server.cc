@@ -134,6 +134,12 @@ void RpcServer::Shutdown() {
   const uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   if (loop_.joinable()) loop_.join();
+  // Closed only after the join: the loop reads both, and a close that
+  // raced this function's wake-up write could let the write land on a
+  // reused fd number.
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  epoll_fd_ = wake_fd_ = -1;
   started_ = false;
 }
 
@@ -187,9 +193,6 @@ void RpcServer::Loop() {
   service_->Flush();
   DrainCompletions();
   FlushAllAndClose();
-  ::close(epoll_fd_);
-  ::close(wake_fd_);
-  epoll_fd_ = wake_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 

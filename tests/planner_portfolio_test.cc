@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/a2a.h"
-#include "core/improve.h"
 #include "core/validate.h"
 #include "core/x2y.h"
 #include "gtest/gtest.h"
@@ -19,7 +18,6 @@ namespace {
 uint64_t AutoReducersA2A(const A2AInstance& in) {
   auto schema = SolveA2AAuto(in);
   EXPECT_TRUE(schema.has_value());
-  MergeReducers(in, &*schema);
   return schema->num_reducers();
 }
 
@@ -110,7 +108,6 @@ TEST(PortfolioX2YTest, WinnerValidAndNeverWorseThanAuto) {
 
     auto auto_schema = SolveX2YAuto(in);
     ASSERT_TRUE(auto_schema.has_value());
-    MergeReducers(in, &*auto_schema);
     EXPECT_LE(result.best->num_reducers(), auto_schema->num_reducers())
         << "seed " << seed;
   }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/a2a.h"
-#include "core/improve.h"
 #include "core/validate.h"
 #include "core/x2y.h"
 #include "gtest/gtest.h"
@@ -31,7 +30,6 @@ TEST(PlannerServiceTest, PlansAreValidForOriginalAndBeatAuto) {
 
     auto auto_schema = SolveA2AAuto(in);
     ASSERT_TRUE(auto_schema.has_value());
-    MergeReducers(in, &*auto_schema);
     EXPECT_LE(result.stats.num_reducers, auto_schema->num_reducers())
         << "seed " << seed;
   }
@@ -120,13 +118,54 @@ TEST(PlannerServiceTest, TightBudgetFallsBackToAuto) {
 TEST(PlannerServiceTest, UsePortfolioFalseUsesAuto) {
   PlannerService service;
   const auto in =
-      A2AInstance::Create(wl::UniformSizes(30, 2, 15, 9), 50).value();
+      A2AInstance::Create(wl::UniformSizes(30, 2, 15, 20), 50).value();
   PlanOptions opts;
   opts.use_portfolio = false;
   const PlanResult result = service.Plan(in, opts);
   ASSERT_TRUE(result.schema.has_value());
   EXPECT_EQ(result.algorithm, "auto");
   EXPECT_EQ(service.stats().auto_runs, 1u);
+  // The bare construction: no merge post-pass on top of the dispatcher
+  // (MergeReducers would take this instance from 78 to 74 reducers).
+  const auto bare = SolveA2AAuto(Canonicalize(in).instance);
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(result.schema->num_reducers(), bare->num_reducers());
+}
+
+// Auto plans bypass the cache entirely, so the two kinds of plan can
+// never be served for each other: a portfolio request after an auto
+// plan of the same instance still runs the portfolio, and an auto
+// request after a cached portfolio plan still runs the dispatcher.
+TEST(PlannerServiceTest, AutoPlanIsNeverServedToAPortfolioRequest) {
+  PlannerConfig config;
+  config.portfolio_min_budget_ms = 5.0;
+  PlannerService service(config);
+  const auto in =
+      A2AInstance::Create(wl::ZipfSizes(50, 2, 30, 1.3, 4), 80).value();
+  PlanOptions tight;
+  tight.budget_ms = 0.5;  // budget fallback to the auto dispatcher
+  const PlanResult fallback = service.Plan(in, tight);
+  ASSERT_TRUE(fallback.schema.has_value());
+  EXPECT_EQ(fallback.algorithm, "auto");
+
+  const PlanResult full = service.Plan(in);  // unlimited budget
+  ASSERT_TRUE(full.schema.has_value());
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_FALSE(full.scoreboard.empty());
+  EXPECT_EQ(service.stats().portfolio_runs, 1u);
+
+  PlanOptions no_portfolio;
+  no_portfolio.use_portfolio = false;
+  const PlanResult bare = service.Plan(in, no_portfolio);
+  ASSERT_TRUE(bare.schema.has_value());
+  EXPECT_FALSE(bare.cache_hit);
+  EXPECT_EQ(bare.algorithm, "auto");
+
+  const PlannerStats stats = service.stats();
+  EXPECT_EQ(stats.auto_runs, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_entries, 1u);
 }
 
 TEST(PlannerServiceTest, PlanManyMatchesIndividualPlans) {

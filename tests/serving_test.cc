@@ -227,19 +227,38 @@ TEST(ServingServiceTest, SharedPlannerPoolsTheCacheAcrossShards) {
   ServingService service(config);
   EXPECT_EQ(&service.planner(), planner.get());
 
-  // Two identical instances under an always-replan policy: the second
-  // stream's plans hit the cache the first stream filled.
+  // Auto-dispatched instances (the serving default) plan without
+  // touching the cache: neither hits nor misses, nothing stored.
   const UpdateTrace trace = MakeTrace(false, 70, 40);
-  for (const char* key : {"a", "same-a"}) {
+  for (const char* key : {"auto-a", "auto-b"}) {
     OnlineConfig instance = InstanceConfig(trace);
     instance.policy_spec.name = "always";
     service.CreateInstance(key, instance, true);
     service.SubmitBatch(key, trace.updates, 0);
   }
   service.Flush();
-  const planner::PlannerStats stats = planner->stats();
+  planner::PlannerStats stats = planner->stats();
   EXPECT_GT(stats.plans, 0u);
+  EXPECT_EQ(stats.auto_runs, stats.plans);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+
+  // Two identical portfolio instances under an always-replan policy:
+  // the second stream's plans hit the cache the first stream filled.
+  for (const char* key : {"a", "same-a"}) {
+    OnlineConfig instance = InstanceConfig(trace);
+    instance.policy_spec.name = "always";
+    instance.plan_options.use_portfolio = true;
+    service.CreateInstance(key, instance, true);
+    service.SubmitBatch(key, trace.updates, 0);
+  }
+  service.Flush();
+  stats = planner->stats();
+  EXPECT_GT(stats.portfolio_runs, 0u);
   EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses,
+            stats.plans - stats.auto_runs);
 }
 
 TEST(ServingServiceTest, ConcurrencyStressStaysOracleValid) {

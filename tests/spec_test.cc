@@ -326,7 +326,9 @@ UpdateTrace RecoveryTrace(bool x2y) {
   config.initial_inputs = 30;
   config.steps = 200;
   config.capacity = 100;
-  config.seed = 12;
+  // A seed on which both matching fields change the final state; see
+  // TheTraceIsSensitiveToMatchingAndGap.
+  config.seed = 14;
   return wl::GenerateTrace(config);
 }
 
