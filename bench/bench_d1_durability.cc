@@ -29,13 +29,13 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/schema_io.h"
 #include "durability/changelog.h"
+#include "durability/stream.h"
 #include "durability/wal.h"
 #include "online/assigner.h"
 #include "online/trace.h"
@@ -52,10 +52,15 @@ using namespace msp;
 // ---------------------------------------------------------------------
 // Append throughput.
 
+// A synthetic applied-add record: the append sweep measures the codec
+// and the writer, not the stream step.
 durability::LogRecord SampleRecord(const std::string& key, uint64_t seq) {
-  return durability::LogRecord::Event(
-      durability::RecordKind::kApplied, key, seq,
-      online::Update::Add(17 + seq % 23));
+  durability::LogRecord record;
+  record.kind = durability::RecordKind::kApplied;
+  record.seq = seq;
+  record.key = key;
+  record.update = online::Update::Add(17 + seq % 23);
+  return record;
 }
 
 struct AppendResult {
@@ -142,8 +147,9 @@ online::InstanceSpec RecoverySpec(const online::UpdateTrace& trace) {
   return spec;
 }
 
-// Replays `trace` while logging every record (the CLI's --wal-out
-// path, inlined) and returns the live end state for verification.
+// Replays `trace` through the durable stream step every host runs,
+// logging every record (windows of 8, no trailing checkpoint), and
+// returns the live end state for verification.
 struct LiveRun {
   std::string schema;
   uint64_t updates = 0;
@@ -157,42 +163,16 @@ LiveRun LogTrace(const online::UpdateTrace& trace) {
   std::string error;
   auto writer =
       durability::ChangelogWriter::Create(&fs, "wal", 1, options, &error);
-  const online::InstanceSpec spec = RecoverySpec(trace);
-  online::OnlineAssigner assigner(spec.ToOnlineConfig());
-  std::vector<std::optional<InputId>> live_of_trace;
-  uint64_t seq = 0;
-  writer->Append(
-      durability::LogRecord::Create("s", 0, spec, /*translate=*/true),
-      &error);
-  for (const online::Update& raw : trace.updates) {
-    online::Update update = raw;
-    online::TraceIdTranslator translator(&live_of_trace);
-    if (!translator.Translate(&update)) {
-      writer->Append(
-          durability::LogRecord::Event(durability::RecordKind::kSkipped,
-                                       "s", ++seq, update),
-          &error);
-      continue;
-    }
-    const online::UpdateResult result = assigner.ApplyDeferred(update);
-    if (update.kind == online::UpdateKind::kAddInput) {
-      translator.RecordAdd(result.applied ? result.new_id : std::nullopt);
-    }
-    writer->Append(
-        durability::LogRecord::Event(
-            result.applied ? durability::RecordKind::kApplied
-                           : durability::RecordKind::kRejected,
-            "s", ++seq, update),
-        &error);
-    if (result.applied && assigner.pending_decision_updates() >= 8) {
-      assigner.PolicyCheckpoint();
-      writer->Append(durability::LogRecord::Checkpoint("s", seq), &error);
-    }
+  durability::Stream stream("s", RecoverySpec(trace).ToOnlineConfig(),
+                            /*translate=*/true);
+  stream.Create(writer.get(), &error);
+  for (const online::Update& update : trace.updates) {
+    stream.Apply(update, /*window=*/8, writer.get());
   }
   writer->Sync(&error);
   LiveRun run;
-  run.schema = SchemaToText(assigner.Schema());
-  run.updates = assigner.totals().updates;
+  run.schema = SchemaToText(stream.assigner().Schema());
+  run.updates = stream.assigner().totals().updates;
   run.bytes = fs.WrittenContents("wal");
   return run;
 }
@@ -230,14 +210,14 @@ int PrintRecoveryTable(bool smoke, CsvWriter* csv,
     if (contents.has_value()) {
       records = contents->records.size();
       Stopwatch replay_wall;
-      std::map<std::string, durability::StreamState> streams;
+      std::map<std::string, durability::Stream> streams;
       const bool ok = durability::ReplayRecords(contents->records, &streams,
                                                 nullptr, nullptr, &error);
       replay_ms = replay_wall.ElapsedSeconds() * 1e3;
       if (ok) {
-        const durability::StreamState& stream = streams.at("s");
-        identical = SchemaToText(stream.assigner->Schema()) == live.schema &&
-                    stream.assigner->totals().updates == live.updates;
+        const online::OnlineAssigner& recovered = streams.at("s").assigner();
+        identical = SchemaToText(recovered.Schema()) == live.schema &&
+                    recovered.totals().updates == live.updates;
       }
     }
     if (!identical) {
@@ -303,7 +283,7 @@ void BM_Recovery(benchmark::State& state) {
   for (auto _ : state) {
     std::string error;
     const auto contents = durability::ReadChangelog(live.bytes, &error);
-    std::map<std::string, durability::StreamState> streams;
+    std::map<std::string, durability::Stream> streams;
     const bool ok = durability::ReplayRecords(contents->records, &streams,
                                               nullptr, nullptr, &error);
     benchmark::DoNotOptimize(ok);

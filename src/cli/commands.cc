@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -17,6 +18,7 @@
 #include "cli/sizes_io.h"
 #include "core/a2a.h"
 #include "durability/changelog.h"
+#include "durability/stream.h"
 #include "durability/wal.h"
 #include "core/bounds.h"
 #include "core/improve.h"
@@ -654,8 +656,9 @@ std::optional<online::InstanceSpec> LoadInstanceSpec(const ArgParser& parser,
 std::atomic<bool> g_serve_stop{false};
 void ServeStopHandler(int) { g_serve_stop.store(true); }
 
-// Latency/skip tallies of one replay (possibly resumed mid-trace).
-struct ReplayStats {
+// Latency/skip tallies of one CLI trace replay (possibly resumed
+// mid-trace).
+struct TraceReplayStats {
   uint64_t skipped = 0;
   std::vector<double> repair_us;  // per applied update, repair only
 };
@@ -665,107 +668,85 @@ struct ReplayStats {
 // CLI replays exactly one stream, so the key is a constant.
 constexpr char kCliStreamKey[] = "stream";
 
-// Replays trace.updates[cursor->next_event, end_event) through the
-// assigner. Trace ids number every `add` line in order, but the
-// assigner only issues ids to *applied* adds — after a rejected add
-// the two would silently drift apart, so remove/resize targets are
-// translated through cursor->live_of_trace (nullopt = rejected add).
-// The policy runs every `batch` applied events (0/1 = every update);
-// the oracle every `validate_every` steps (0 disables). The window
-// position is the assigner's own pending-update count, so a replay cut
-// mid-window (snapshot) resumes with identical policy timing. A
-// partial trailing window is checkpointed only when `final_checkpoint`
-// is set (end of the whole trace, not a snapshot cut). When `wal` is
-// non-null every processed event is appended to the changelog before
-// the next one runs (log-before-ack, mirroring the serving shards);
-// an append failure aborts the replay. When `repair_latency` is
-// non-null every applied update's repair time also lands in that
-// histogram (the registry's online.repair_latency_us series). Returns
-// false when the oracle rejects an intermediate schema or the
-// changelog cannot be written.
-bool ReplayTraceRange(const online::UpdateTrace& trace,
-                      std::size_t end_event, std::size_t batch,
-                      uint64_t validate_every, bool final_checkpoint,
-                      online::OnlineAssigner* assigner,
-                      online::ReplayCursor* cursor, ReplayStats* stats,
-                      durability::ChangelogWriter* wal,
-                      obs::Histogram* repair_latency, std::ostream& err) {
-  const auto wal_append = [&](const durability::LogRecord& record) {
-    std::string wal_error;
-    if (wal->Append(record, &wal_error)) return true;
-    err << "error: changelog append failed: " << wal_error << "\n";
-    return false;
-  };
-  const std::size_t window = batch == 0 ? 1 : batch;
-  online::TraceIdTranslator translator(&cursor->live_of_trace);
-  while (cursor->next_event < end_event) {
-    const std::size_t step = cursor->next_event + 1;
-    online::Update update = trace.updates[cursor->next_event];
-    ++cursor->next_event;
-    if (!translator.Translate(&update)) {
-      ++stats->skipped;
-      err << "warning: step " << step
-          << " skipped: targets an unknown or rejected input\n";
-      if (wal != nullptr &&
-          !wal_append(durability::LogRecord::Event(
-              durability::RecordKind::kSkipped, kCliStreamKey,
-              cursor->next_event, update))) {
-        return false;
-      }
-      continue;
-    }
-    Stopwatch watch;
-    const online::UpdateResult result = assigner->ApplyDeferred(update);
-    const uint64_t us = watch.ElapsedMicros();
-    if (update.kind == online::UpdateKind::kAddInput) {
-      translator.RecordAdd(result.applied ? result.new_id : std::nullopt);
-    }
-    if (wal != nullptr &&
-        !wal_append(durability::LogRecord::Event(
-            result.applied ? durability::RecordKind::kApplied
-                           : durability::RecordKind::kRejected,
-            kCliStreamKey, cursor->next_event, update))) {
-      return false;
-    }
-    if (result.applied) {
-      stats->repair_us.push_back(static_cast<double>(us));
-      if (repair_latency != nullptr) repair_latency->Record(us);
-      if (assigner->pending_decision_updates() >= window) {
-        assigner->PolicyCheckpoint();
-        if (wal != nullptr &&
-            !wal_append(durability::LogRecord::Checkpoint(
-                kCliStreamKey, cursor->next_event))) {
-          return false;
-        }
-      }
-    } else {
-      err << "warning: step " << step << " rejected: " << result.error
-          << "\n";
+// The one CLI replay loop: feeds trace.updates[begin, end) to the
+// caller's own apply step (the durable stream, or the churn-budget
+// wrapper), `apply(update, step, &repair_us)`, which sets `repair_us`
+// when the event was applied now and returns false to stop the replay
+// (its error already printed). Keeps each applied event's repair time
+// (also recorded into `repair_latency`, the registry's
+// online.repair_latency_us series, when non-null) and oracle-checks
+// `assigner` every `validate_every` steps (0 disables). Returns false
+// when a step fails or the oracle rejects an intermediate schema.
+template <typename ApplyStep>
+bool ReplayEvents(const online::UpdateTrace& trace, std::size_t begin,
+                  std::size_t end, uint64_t validate_every,
+                  const online::OnlineAssigner& assigner,
+                  const ApplyStep& apply, obs::Histogram* repair_latency,
+                  TraceReplayStats* stats, std::ostream& err) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t step = i + 1;
+    std::optional<uint64_t> repair_us;
+    if (!apply(trace.updates[i], step, &repair_us)) return false;
+    if (repair_us.has_value()) {
+      stats->repair_us.push_back(static_cast<double>(*repair_us));
+      if (repair_latency != nullptr) repair_latency->Record(*repair_us);
     }
     if (validate_every != 0 && step % validate_every == 0) {
       std::string validate_error;
-      if (!assigner->ValidateNow(&validate_error)) {
+      if (!assigner.ValidateNow(&validate_error)) {
         err << "INVALID schema after step " << step << ": "
             << validate_error << "\n";
         return false;
       }
     }
   }
-  if (final_checkpoint && assigner->pending_decision_updates() > 0) {
-    assigner->PolicyCheckpoint();
-    if (wal != nullptr &&
-        !wal_append(durability::LogRecord::Checkpoint(kCliStreamKey,
-                                                      cursor->next_event))) {
-      return false;
-    }
-  }
   return true;
+}
+
+// Replays trace.updates[cursor, end) through the durable stream step
+// (trace ids translated through the stream's cursor, the policy every
+// `batch` applied events, every record appended to `wal` when non-null
+// before the next event runs), with the CLI's per-step warnings. A
+// trailing partial window is checkpointed only when `final_checkpoint`
+// is set (end of the whole trace, not a snapshot cut). Returns false
+// when the oracle rejects a schema or the changelog cannot be written.
+bool ReplayStream(const online::UpdateTrace& trace, std::size_t end,
+                  std::size_t batch, uint64_t validate_every,
+                  bool final_checkpoint, durability::Stream* stream,
+                  durability::ChangelogWriter* wal,
+                  obs::Histogram* repair_latency, TraceReplayStats* stats,
+                  std::ostream& err) {
+  std::string wal_error;
+  const auto apply = [&](const online::Update& update, std::size_t step,
+                         std::optional<uint64_t>* repair_us) {
+    const durability::StepResult result = stream->Apply(update, batch, wal);
+    if (result.kind == durability::RecordKind::kSkipped) {
+      err << "warning: step " << step
+          << " skipped: targets an unknown or rejected input\n";
+    } else if (result.kind == durability::RecordKind::kRejected) {
+      err << "warning: step " << step << " rejected: " << result.reason
+          << "\n";
+    } else {
+      *repair_us = result.repair_us;
+    }
+    wal_error = result.log_error;
+    return wal_error.empty();
+  };
+  const bool replayed =
+      ReplayEvents(trace, stream->cursor().next_event, end, validate_every,
+                   stream->assigner(), apply, repair_latency, stats, err) &&
+      (!final_checkpoint || stream->Checkpoint(wal, &wal_error));
+  stats->skipped = stream->skipped();
+  if (!wal_error.empty()) {
+    err << "error: changelog append failed: " << wal_error << "\n";
+  }
+  return replayed;
 }
 
 // Renders the replay / churn / quality tables shared by `online` and
 // `restore`, plus the final validity line. Returns the exit code.
 int PrintReplayReport(const online::OnlineAssigner& assigner,
-                      const ReplayStats& stats, std::ostream& out,
+                      const TraceReplayStats& stats, std::ostream& out,
                       std::ostream& err) {
   const online::OnlineTotals& totals = assigner.totals();
   TablePrinter replay("online replay (" +
@@ -850,20 +831,15 @@ int ReplayTraceBudgeted(const online::UpdateTrace& trace,
                         const online::OnlineConfig& config,
                         const online::BudgetConfig& budget,
                         std::size_t batch, uint64_t validate_every,
+                        obs::Histogram* repair_latency,
                         ObsSession& obs_session, std::ostream& out,
                         std::ostream& err) {
   online::BudgetedAssigner budgeted(config, budget);
   const std::size_t window = batch == 0 ? 1 : batch;
-  obs::Registry* registry = obs_session.registry();
-  obs::Histogram* repair_latency =
-      registry == nullptr ? nullptr
-                          : registry->histogram("online.repair_latency_us");
-  ReplayStats stats;
   uint64_t max_window_spend = 0;
   uint64_t applied_now = 0;
-  std::size_t step = 0;
-  for (const online::Update& update : trace.updates) {
-    ++step;
+  const auto submit = [&](const online::Update& update, std::size_t,
+                          std::optional<uint64_t>* repair_us) {
     Stopwatch watch;
     const online::SubmitOutcome outcome = budgeted.Submit(update);
     const uint64_t us = watch.ElapsedMicros();
@@ -871,20 +847,18 @@ int ReplayTraceBudgeted(const online::UpdateTrace& trace,
         std::max(max_window_spend, budgeted.window_spent_bytes());
     if (outcome == online::SubmitOutcome::kApplied) {
       ++applied_now;
-      stats.repair_us.push_back(static_cast<double>(us));
-      if (repair_latency != nullptr) repair_latency->Record(us);
+      *repair_us = us;
       if (budgeted.assigner().pending_decision_updates() >= window) {
         budgeted.PolicyCheckpoint();
       }
     }
-    if (validate_every != 0 && step % validate_every == 0) {
-      std::string validate_error;
-      if (!budgeted.assigner().ValidateNow(&validate_error)) {
-        err << "INVALID schema after step " << step << ": "
-            << validate_error << "\n";
-        return 1;
-      }
-    }
+    return true;
+  };
+  TraceReplayStats stats;
+  if (!ReplayEvents(trace, 0, trace.updates.size(), validate_every,
+                    budgeted.assigner(), submit, repair_latency, &stats,
+                    err)) {
+    return 1;
   }
   // End of stream: refresh the window while the deferred queue makes
   // progress (a head that fits in no whole window stays pending).
@@ -892,9 +866,7 @@ int ReplayTraceBudgeted(const online::UpdateTrace& trace,
     max_window_spend =
         std::max(max_window_spend, budgeted.window_spent_bytes());
   }
-  if (budgeted.assigner().pending_decision_updates() > 0) {
-    budgeted.PolicyCheckpoint();
-  }
+  budgeted.PolicyCheckpoint();
   // Translation failures bump only the wrapper's rejected counter; the
   // assigner's own books carry the infeasible ones.
   stats.skipped =
@@ -953,6 +925,10 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
 
   online::OnlineConfig config = spec->ToOnlineConfig();
   config.metrics = obs_session.registry();
+  obs::Registry* registry = obs_session.registry();
+  obs::Histogram* repair_latency =
+      registry == nullptr ? nullptr
+                          : registry->histogram("online.repair_latency_us");
 
   std::unique_ptr<durability::ChangelogWriter> wal;
   const std::string wal_out = parser.GetString("wal-out");
@@ -965,7 +941,8 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
     }
     return ReplayTraceBudgeted(*trace, config, spec->budget,
                                static_cast<std::size_t>(*batch),
-                               *validate_every, obs_session, out, err);
+                               *validate_every, repair_latency, obs_session,
+                               out, err);
   }
   if (!wal_out.empty()) {
     durability::ChangelogWriterOptions wal_options;
@@ -979,31 +956,24 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
       err << "error: " << wal_error << "\n";
       return 2;
     }
-    // The stream header record: replaying this log from scratch must
-    // rebuild the same assigner configuration.
-    if (!wal->Append(durability::LogRecord::Create(kCliStreamKey, 0, *spec,
-                                                   /*translate=*/true),
-                     &wal_error)) {
-      err << "error: " << wal_error << "\n";
-      return 2;
-    }
   }
 
-  online::OnlineAssigner assigner(config);
-  online::ReplayCursor cursor;
-  ReplayStats stats;
-  obs::Registry* registry = obs_session.registry();
-  obs::Histogram* repair_latency =
-      registry == nullptr ? nullptr
-                          : registry->histogram("online.repair_latency_us");
-  if (!ReplayTraceRange(*trace, trace->updates.size(),
-                        static_cast<std::size_t>(*batch), *validate_every,
-                        /*final_checkpoint=*/true, &assigner, &cursor,
-                        &stats, wal.get(), repair_latency, err)) {
+  durability::Stream stream(kCliStreamKey, config, /*translate=*/true);
+  // The stream header record: replaying this log from scratch must
+  // rebuild the same assigner configuration.
+  std::string wal_error;
+  if (!stream.Create(wal.get(), &wal_error)) {
+    err << "error: " << wal_error << "\n";
+    return 2;
+  }
+  TraceReplayStats stats;
+  if (!ReplayStream(*trace, trace->updates.size(),
+                    static_cast<std::size_t>(*batch), *validate_every,
+                    /*final_checkpoint=*/true, &stream, wal.get(),
+                    repair_latency, &stats, err)) {
     return 1;
   }
   if (wal != nullptr) {
-    std::string wal_error;
     if (!wal->Sync(&wal_error)) {
       err << "error: changelog fsync failed: " << wal_error << "\n";
       return 1;
@@ -1013,7 +983,7 @@ int CmdOnline(const ArgParser& parser, std::ostream& out, std::ostream& err) {
         << " fsyncs=" << wal->fsyncs() << "\n";
   }
   if (!obs_session.Finish(err)) return 2;
-  return PrintReplayReport(assigner, stats, out, err);
+  return PrintReplayReport(stream.assigner(), stats, out, err);
 }
 
 // Oracle-checks every instance of a quiescent `service`, printing one
@@ -1311,16 +1281,16 @@ int CmdSnapshot(const ArgParser& parser, std::ostream& out,
     return 2;
   }
 
-  online::OnlineAssigner assigner(spec->ToOnlineConfig());
-  online::ReplayCursor cursor;
-  ReplayStats stats;
-  if (!ReplayTraceRange(*trace, static_cast<std::size_t>(*steps),
-                        static_cast<std::size_t>(*batch),
-                        /*validate_every=*/0, /*final_checkpoint=*/false,
-                        &assigner, &cursor, &stats, /*wal=*/nullptr,
-                        /*repair_latency=*/nullptr, err)) {
+  durability::Stream stream(kCliStreamKey, spec->ToOnlineConfig(),
+                            /*translate=*/true);
+  TraceReplayStats stats;
+  if (!ReplayStream(*trace, static_cast<std::size_t>(*steps),
+                    static_cast<std::size_t>(*batch), /*validate_every=*/0,
+                    /*final_checkpoint=*/false, &stream, /*wal=*/nullptr,
+                    /*repair_latency=*/nullptr, &stats, err)) {
     return 1;
   }
+  const online::OnlineAssigner& assigner = stream.assigner();
   std::string validate_error;
   if (!assigner.ValidateNow(&validate_error)) {
     err << "INVALID schema at the snapshot point: " << validate_error
@@ -1328,11 +1298,12 @@ int CmdSnapshot(const ArgParser& parser, std::ostream& out,
     return 1;
   }
   std::string io_error;
-  if (!WriteSnapshotFile(out_path, assigner, cursor, &io_error, *epoch)) {
+  if (!WriteSnapshotFile(out_path, assigner, stream.cursor(), &io_error,
+                         *epoch)) {
     err << "error: " << io_error << "\n";
     return 2;
   }
-  out << "snapshot=" << out_path << " events=" << cursor.next_event
+  out << "snapshot=" << out_path << " events=" << stream.cursor().next_event
       << " inputs=" << assigner.num_inputs()
       << " reducers=" << assigner.Schema().num_reducers() << "\n";
   return 0;
@@ -1358,8 +1329,14 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
     return 2;
   }
   const uint64_t resumed_at = restored->cursor.next_event;
+  const uint64_t snapshot_epoch = restored->epoch;
+  // A one-stream map, so a changelog can re-create the stream exactly
+  // like recovery would.
+  std::map<std::string, durability::Stream> streams;
+  streams.emplace(kCliStreamKey,
+                  durability::Stream(kCliStreamKey, std::move(*restored),
+                                     /*translate=*/true));
 
-  ReplayStats stats;
   const std::string wal_path = parser.GetString("wal");
   if (!wal_path.empty()) {
     std::string bytes;
@@ -1375,9 +1352,9 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
       err << "error: " << wal_path << ": " << parse_error << "\n";
       return 2;
     }
-    if (log->epoch != restored->epoch) {
+    if (log->epoch != snapshot_epoch) {
       err << "error: stale changelog: snapshot " << snapshot_path
-          << " (epoch " << restored->epoch
+          << " (epoch " << snapshot_epoch
           << ") does not pair with changelog " << wal_path << " (epoch "
           << log->epoch << ")\n";
       return 2;
@@ -1386,13 +1363,6 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
       err << "warning: changelog tail torn after " << log->records.size()
           << " record(s): " << log->tail_error << "\n";
     }
-    std::map<std::string, durability::StreamState> streams;
-    durability::StreamState stream;
-    stream.translate = true;
-    stream.assigner = std::move(restored->assigner);
-    stream.live_of_trace = std::move(restored->cursor.live_of_trace);
-    stream.event_seq = restored->cursor.next_event;
-    streams.emplace(kCliStreamKey, std::move(stream));
     durability::ReplayStats replayed;
     std::string replay_error;
     if (!durability::ReplayRecords(log->records, &streams, nullptr,
@@ -1400,17 +1370,14 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
       err << "error: " << replay_error << "\n";
       return 1;
     }
-    durability::StreamState& final_stream = streams.at(kCliStreamKey);
-    restored->assigner = std::move(final_stream.assigner);
-    restored->cursor.next_event = final_stream.event_seq;
-    restored->cursor.live_of_trace = std::move(final_stream.live_of_trace);
-    stats.skipped += replayed.skipped;
     err << "wal: " << wal_path << " replayed="
         << replayed.applied + replayed.rejected + replayed.skipped
         << " stale=" << replayed.stale
         << " checkpoints=" << replayed.checkpoints << "\n";
   }
-  online::OnlineAssigner& assigner = *restored->assigner;
+  durability::Stream& stream = streams.at(kCliStreamKey);
+  TraceReplayStats stats;
+  stats.skipped = stream.skipped();
   const std::string trace_path = parser.GetString("trace");
   if (!trace_path.empty()) {
     const auto trace = LoadTrace(trace_path, err);
@@ -1421,23 +1388,22 @@ int CmdRestore(const ArgParser& parser, std::ostream& out,
       err << "error: bad --validate-every/--batch\n";
       return 2;
     }
-    if (trace->x2y != assigner.config().x2y ||
-        restored->cursor.next_event > trace->updates.size()) {
+    if (trace->x2y != stream.assigner().config().x2y ||
+        stream.cursor().next_event > trace->updates.size()) {
       err << "error: snapshot does not belong to this trace (shape or "
              "length mismatch)\n";
       return 2;
     }
-    if (!ReplayTraceRange(*trace, trace->updates.size(),
-                          static_cast<std::size_t>(*batch), *validate_every,
-                          /*final_checkpoint=*/true, &assigner,
-                          &restored->cursor, &stats, /*wal=*/nullptr,
-                          /*repair_latency=*/nullptr, err)) {
+    if (!ReplayStream(*trace, trace->updates.size(),
+                      static_cast<std::size_t>(*batch), *validate_every,
+                      /*final_checkpoint=*/true, &stream, /*wal=*/nullptr,
+                      /*repair_latency=*/nullptr, &stats, err)) {
       return 1;
     }
   }
   err << "restored: " << snapshot_path << " resumed-at=" << resumed_at
-      << " replayed-to=" << restored->cursor.next_event << "\n";
-  return PrintReplayReport(assigner, stats, out, err);
+      << " replayed-to=" << stream.cursor().next_event << "\n";
+  return PrintReplayReport(stream.assigner(), stats, out, err);
 }
 
 // recover — rebuild a serving service from a --wal-dir written by

@@ -95,35 +95,6 @@ bool DecodePayload(std::string_view payload, LogRecord* record,
 
 }  // namespace
 
-LogRecord LogRecord::Create(std::string key, uint64_t seq,
-                            online::InstanceSpec spec, bool translate) {
-  LogRecord record;
-  record.kind = RecordKind::kCreate;
-  record.key = std::move(key);
-  record.seq = seq;
-  record.spec = std::move(spec);
-  record.translate = translate;
-  return record;
-}
-
-LogRecord LogRecord::Event(RecordKind kind, std::string key, uint64_t seq,
-                           const online::Update& update) {
-  LogRecord record;
-  record.kind = kind;
-  record.key = std::move(key);
-  record.seq = seq;
-  record.update = update;
-  return record;
-}
-
-LogRecord LogRecord::Checkpoint(std::string key, uint64_t seq) {
-  LogRecord record;
-  record.kind = RecordKind::kCheckpoint;
-  record.key = std::move(key);
-  record.seq = seq;
-  return record;
-}
-
 std::string EncodeRecord(const LogRecord& record) {
   const std::string payload = EncodePayload(record);
   std::string frame;

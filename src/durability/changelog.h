@@ -61,6 +61,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -100,10 +101,27 @@ struct LogRecord {
   bool translate = false;
 
   static LogRecord Create(std::string key, uint64_t seq,
-                          online::InstanceSpec spec, bool translate);
+                          online::InstanceSpec spec, bool translate) {
+    LogRecord record = Checkpoint(std::move(key), seq);
+    record.kind = RecordKind::kCreate;
+    record.spec = std::move(spec);
+    record.translate = translate;
+    return record;
+  }
   static LogRecord Event(RecordKind kind, std::string key, uint64_t seq,
-                         const online::Update& update);
-  static LogRecord Checkpoint(std::string key, uint64_t seq);
+                         const online::Update& update) {
+    LogRecord record = Checkpoint(std::move(key), seq);
+    record.kind = kind;
+    record.update = update;
+    return record;
+  }
+  static LogRecord Checkpoint(std::string key, uint64_t seq) {
+    LogRecord record;
+    record.kind = RecordKind::kCheckpoint;
+    record.seq = seq;
+    record.key = std::move(key);
+    return record;
+  }
 
   bool operator==(const LogRecord&) const = default;
 };

@@ -40,112 +40,6 @@ std::string FileError(const WritableFile* file, const std::string& what) {
 
 }  // namespace
 
-bool ReplayRecords(const std::vector<LogRecord>& records,
-                   std::map<std::string, StreamState>* streams,
-                   std::shared_ptr<planner::PlannerService> shared_planner,
-                   ReplayStats* stats, std::string* error) {
-  const auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  ReplayStats local;
-  ReplayStats* tally = stats != nullptr ? stats : &local;
-
-  for (const LogRecord& record : records) {
-    if (record.kind == RecordKind::kCreate) {
-      const auto it = streams->find(record.key);
-      if (it != streams->end()) {
-        if (record.seq < it->second.event_seq) {
-          ++tally->stale;
-          continue;
-        }
-        if (record.seq > it->second.event_seq) {
-          return fail("changelog gap: create of '" + record.key +
-                      "' at seq " + std::to_string(record.seq) +
-                      " but stream is at " +
-                      std::to_string(it->second.event_seq));
-        }
-        // seq == event_seq: the live run re-created this key here;
-        // replaying the create reproduces that exactly.
-      }
-      if (record.spec.budget.bytes_per_window != 0) {
-        // Budgets are refused on WAL-attached shards; a log holding
-        // one was not written by this system.
-        return fail("changelog create of '" + record.key +
-                    "' holds a churn budget");
-      }
-      online::OnlineConfig config = record.spec.ToOnlineConfig();
-      config.shared_planner = shared_planner;
-      StreamState state;
-      state.translate = record.translate;
-      state.assigner = std::make_unique<online::OnlineAssigner>(config);
-      state.event_seq = record.seq;
-      (*streams)[record.key] = std::move(state);
-      ++tally->creates;
-      continue;
-    }
-
-    const auto it = streams->find(record.key);
-    if (it == streams->end()) {
-      return fail("changelog names unknown stream '" + record.key + "'");
-    }
-    StreamState& stream = it->second;
-
-    if (record.kind == RecordKind::kCheckpoint) {
-      if (record.seq < stream.event_seq) {
-        ++tally->stale;
-        continue;
-      }
-      if (record.seq > stream.event_seq) {
-        return fail("changelog gap: checkpoint of '" + record.key +
-                    "' at seq " + std::to_string(record.seq) +
-                    " but stream is at " +
-                    std::to_string(stream.event_seq));
-      }
-      // Deterministic re-decision; a no-op when the decision already
-      // preceded the snapshot (nothing pending).
-      stream.assigner->PolicyCheckpoint();
-      ++tally->checkpoints;
-      continue;
-    }
-
-    // Event records advance the per-key ordinal by exactly one.
-    if (record.seq <= stream.event_seq) {
-      ++tally->stale;
-      continue;
-    }
-    if (record.seq != stream.event_seq + 1) {
-      return fail("changelog gap: event of '" + record.key + "' at seq " +
-                  std::to_string(record.seq) + " but stream is at " +
-                  std::to_string(stream.event_seq));
-    }
-    if (record.kind == RecordKind::kSkipped) {
-      stream.event_seq = record.seq;
-      ++tally->skipped;
-      continue;
-    }
-    const online::UpdateResult result =
-        stream.assigner->ApplyDeferred(record.update);
-    const bool want_applied = record.kind == RecordKind::kApplied;
-    if (result.applied != want_applied) {
-      return fail("changelog diverged on replay: '" + record.key +
-                  "' seq " + std::to_string(record.seq) + " was logged " +
-                  (want_applied ? "applied" : "rejected") +
-                  " but replayed " +
-                  (result.applied ? "applied" : "rejected") +
-                  (result.error.empty() ? "" : " (" + result.error + ")"));
-    }
-    if (stream.translate &&
-        record.update.kind == online::UpdateKind::kAddInput) {
-      stream.live_of_trace.push_back(result.applied ? result.new_id
-                                                    : std::nullopt);
-    }
-    stream.event_seq = record.seq;
-    ++(want_applied ? tally->applied : tally->rejected);
-  }
-  return true;
-}
-
 std::string EncodeShardImage(uint64_t epoch,
                              const std::vector<ImageEntry>& entries) {
   std::string payload;
@@ -249,7 +143,7 @@ bool ShardWal::StartEpoch(uint64_t epoch, std::string* error) {
 std::unique_ptr<ShardWal> ShardWal::Open(
     const WalOptions& options, const std::string& dir,
     std::shared_ptr<planner::PlannerService> planner,
-    std::map<std::string, StreamState>* recovered, RecoveryStats* stats,
+    std::map<std::string, Stream>* recovered, RecoveryStats* stats,
     std::string* error) {
   const auto fail = [error](const std::string& why)
       -> std::unique_ptr<ShardWal> {
@@ -289,7 +183,7 @@ std::unique_ptr<ShardWal> ShardWal::Open(
   // --- recovery: newest decodable snapshot ---
   obs::Span span("durability.recover");
   const uint64_t recover_start_us = obs::MonotonicMicros();
-  std::map<std::string, StreamState> streams;
+  std::map<std::string, Stream> streams;
   uint64_t snap_epoch = 0;
   std::string snap_error;
   for (auto it = snap_epochs.rbegin(); it != snap_epochs.rend(); ++it) {
@@ -307,24 +201,18 @@ std::unique_ptr<ShardWal> ShardWal::Open(
                    std::to_string(image_epoch) + " disagrees with file name";
       continue;
     }
-    std::map<std::string, StreamState> candidate;
+    std::map<std::string, Stream> candidate;
     bool ok = true;
     for (const ImageEntry& entry : entries) {
-      auto restored = online::SnapshotCodec::Restore(entry.snapshot, &why,
-                                                     planner);
-      if (!restored.has_value() || restored->epoch != image_epoch) {
+      uint64_t stream_epoch = 0;
+      auto stream = Stream::FromImage(entry, planner, &stream_epoch, &why);
+      if (!stream.has_value() || stream_epoch != image_epoch) {
         snap_error = wal->SnapPath(*it) + " instance '" + entry.key +
-                     "': " +
-                     (restored.has_value() ? "epoch mismatch" : why);
+                     "': " + (stream.has_value() ? "epoch mismatch" : why);
         ok = false;
         break;
       }
-      StreamState state;
-      state.translate = entry.translate;
-      state.assigner = std::move(restored->assigner);
-      state.live_of_trace = std::move(restored->cursor.live_of_trace);
-      state.event_seq = restored->cursor.next_event;
-      candidate[entry.key] = std::move(state);
+      candidate.insert_or_assign(entry.key, std::move(*stream));
     }
     if (!ok) continue;
     streams = std::move(candidate);
@@ -416,16 +304,8 @@ std::unique_ptr<ShardWal> ShardWal::Open(
   wal->epoch_ = max_seen;
   std::vector<ImageEntry> entries;
   entries.reserve(streams.size());
-  for (const auto& [key, state] : streams) {
-    ImageEntry entry;
-    entry.key = key;
-    entry.translate = state.translate;
-    online::ReplayCursor cursor;
-    cursor.next_event = state.event_seq;
-    cursor.live_of_trace = state.live_of_trace;
-    entry.snapshot = online::SnapshotCodec::Serialize(*state.assigner,
-                                                      cursor, max_seen + 1);
-    entries.push_back(std::move(entry));
+  for (const auto& [key, stream] : streams) {
+    entries.push_back(stream.ToImage(max_seen + 1));
   }
   if (!wal->Rotate(entries, error)) return nullptr;
   // Rotate counts as maintenance, not as a served rotation.
@@ -434,10 +314,6 @@ std::unique_ptr<ShardWal> ShardWal::Open(
   if (recovered != nullptr) *recovered = std::move(streams);
   if (stats != nullptr) *stats = wal->recovery_;
   return wal;
-}
-
-bool ShardWal::Append(const LogRecord& record, std::string* error) {
-  return writer_->Append(record, error);
 }
 
 bool ShardWal::Sync(std::string* error) { return writer_->Sync(error); }
@@ -484,7 +360,6 @@ bool ShardWal::Rotate(const std::vector<ImageEntry>& entries,
   fs_->SyncDir(dir_);
 
   // 3. Switch the writer: records now land in the new epoch.
-  const uint64_t old = epoch_;
   if (writer_ != nullptr) {
     closed_records_ += writer_->appended_records();
     closed_fsyncs_ += writer_->fsyncs();
@@ -505,7 +380,6 @@ bool ShardWal::Rotate(const std::vector<ImageEntry>& entries,
     if (epoch < next) fs_->DeleteFile(JoinPath(dir_, name));
   }
   fs_->SyncDir(dir_);
-  (void)old;
   return true;
 }
 

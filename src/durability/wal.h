@@ -39,8 +39,9 @@
 //   (snaps exist but none decodable -> error)   rotate to epoch e+1
 //
 // The replayed state is handed to the caller (the serving shard, the
-// CLI `recover` command, the crash suites) as ready-to-serve
-// StreamStates.
+// CLI `recover` command, the crash suites) as ready-to-serve Streams
+// (stream.h), which both the image entries and the changelog records
+// are replayed through.
 
 #ifndef MSP_DURABILITY_WAL_H_
 #define MSP_DURABILITY_WAL_H_
@@ -48,14 +49,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "durability/changelog.h"
-#include "online/assigner.h"
-#include "online/snapshot.h"
+#include "durability/stream.h"
 #include "planner/service.h"
 #include "util/fs.h"
 
@@ -82,51 +81,6 @@ struct WalOptions {
   /// append series) plus rotation and recovery-replay series. Not
   /// owned; must outlive the WAL.
   obs::Registry* metrics = nullptr;
-};
-
-/// One recovered (or live) durable stream: the assigner plus its
-/// replay position. `event_seq` is the per-key record ordinal (see
-/// changelog.h); `live_of_trace` is the trace-id translation table
-/// for translate-mode streams (`translate`).
-struct StreamState {
-  bool translate = false;
-  std::unique_ptr<online::OnlineAssigner> assigner;
-  std::vector<std::optional<InputId>> live_of_trace;
-  uint64_t event_seq = 0;
-};
-
-/// Tallies of one ReplayRecords pass.
-struct ReplayStats {
-  uint64_t creates = 0;
-  uint64_t applied = 0;
-  uint64_t rejected = 0;
-  uint64_t skipped = 0;
-  uint64_t checkpoints = 0;
-  /// Records at or below the snapshot cursor (already reflected in the
-  /// restored state) — skipped without replaying.
-  uint64_t stale = 0;
-};
-
-/// Replays changelog records into `streams`, creating instances on
-/// kCreate. Records with seq <= the stream's event_seq are stale
-/// (already covered by the snapshot the stream was restored from) and
-/// skipped; beyond that, contiguity is enforced and every event must
-/// reproduce its logged outcome (the replay is deterministic — a
-/// divergence means the log does not belong to this state and
-/// recovery fails loudly). Returns false + `*error` on divergence,
-/// gaps, or events for unknown keys.
-bool ReplayRecords(const std::vector<LogRecord>& records,
-                   std::map<std::string, StreamState>* streams,
-                   std::shared_ptr<planner::PlannerService> shared_planner,
-                   ReplayStats* stats, std::string* error);
-
-/// One instance inside a shard snapshot image. `snapshot` is the
-/// per-assigner SnapshotCodec blob (cursor = {event_seq,
-/// live_of_trace}, epoch = the image's epoch).
-struct ImageEntry {
-  std::string key;
-  bool translate = false;
-  std::string snapshot;
 };
 
 /// Renders a shard image (all instances of one shard at a rotation
@@ -159,12 +113,8 @@ class ShardWal {
   static std::unique_ptr<ShardWal> Open(
       const WalOptions& options, const std::string& dir,
       std::shared_ptr<planner::PlannerService> planner,
-      std::map<std::string, StreamState>* recovered, RecoveryStats* stats,
+      std::map<std::string, Stream>* recovered, RecoveryStats* stats,
       std::string* error);
-
-  /// Appends one record to the live changelog (group-commit may
-  /// fsync). Failures poison the writer — the caller must stop acking.
-  bool Append(const LogRecord& record, std::string* error = nullptr);
 
   /// Durability barrier (the ack point).
   bool Sync(std::string* error = nullptr);
@@ -180,7 +130,10 @@ class ShardWal {
 
   uint64_t epoch() const { return epoch_; }
   uint64_t records_in_epoch() const { return writer_->appended_records(); }
-  const ChangelogWriter& writer() const { return *writer_; }
+  /// The live changelog writer, replaced by every Rotate. Appends may
+  /// group-commit; a failed one poisons the writer, and the caller
+  /// must stop acking.
+  ChangelogWriter* writer() { return writer_.get(); }
   uint64_t rotations() const { return rotations_; }
   const RecoveryStats& recovery() const { return recovery_; }
 

@@ -507,7 +507,7 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
 
   if (!dense.has_value()) dense.emplace(BuildDense());
   if (!dense->usable()) return;
-  const planner::PlanResult plan =
+  planner::PlanResult plan =
       dense->a2a.has_value()
           ? planner_->Plan(*dense->a2a, config_.plan_options)
           : planner_->Plan(*dense->x2y, config_.plan_options);
@@ -534,17 +534,15 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
     if (!better) return;
   }
 
-  // The plan is over dense ids; rewrite it to live ids.
-  MappingSchema fresh;
-  fresh.reducers.reserve(plan.schema->num_reducers());
-  for (const Reducer& reducer : plan.schema->reducers) {
-    Reducer live;
-    live.reserve(reducer.size());
-    for (InputId dense_id : reducer) {
-      live.push_back(dense->live_of_dense[dense_id]);
+  // The plan is over dense ids; rewrite it to live ids in place. The
+  // dense→live map ascends within each side, so a sorted reducer
+  // usually stays sorted; re-sort only the ones the remap disordered.
+  MappingSchema& fresh = *plan.schema;
+  for (Reducer& reducer : fresh.reducers) {
+    for (InputId& id : reducer) id = dense->live_of_dense[id];
+    if (!std::is_sorted(reducer.begin(), reducer.end())) {
+      std::sort(reducer.begin(), reducer.end());
     }
-    std::sort(live.begin(), live.end());
-    fresh.reducers.push_back(std::move(live));
   }
   DeployReplanned(fresh, result);
   if (span.active()) {

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "obs/span.h"
-#include "online/snapshot.h"
-#include "online/spec.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -41,7 +39,7 @@ ServingShard::~ServingShard() {
 
 bool ServingShard::AttachWal(const durability::WalOptions& options,
                              std::string* error) {
-  std::map<std::string, durability::StreamState> streams;
+  std::map<std::string, durability::Stream> streams;
   durability::RecoveryStats recovery;
   auto wal = durability::ShardWal::Open(options, options.dir, planner_,
                                         &streams, &recovery, error);
@@ -52,12 +50,12 @@ bool ServingShard::AttachWal(const durability::WalOptions& options,
       << "AttachWal requires a fresh, quiescent shard";
   wal_ = std::move(wal);
   for (auto& [key, stream] : streams) {
-    Instance instance;
-    instance.assigner = std::move(stream.assigner);
-    instance.translate = stream.translate;
-    instance.live_of_trace = std::move(stream.live_of_trace);
-    instance.event_seq = stream.event_seq;
-    instances_[key] = std::move(instance);
+    Instance& instance = instances_[key];
+    instance.stream.emplace(std::move(stream));
+    // Recovered books are not this service's work: start the baseline
+    // there, so its own counters still read 0.
+    instance.pub_totals = instance.live().totals();
+    instance.pub_skipped = instance.stream->skipped();
   }
   stats_.instances += streams.size();
   stats_.recovered_instances = recovery.instances;
@@ -178,23 +176,26 @@ void ServingShard::ForEachInstance(
   }
 }
 
-void ServingShard::ReconcileBudgeted(Instance* instance) {
+void ServingShard::Reconcile(Instance* instance) {
   const online::OnlineTotals& now = instance->live().totals();
   const online::OnlineTotals& base = instance->pub_totals;
-  const uint64_t wrapper_rejected = instance->budgeted->rejected_total();
-  const uint64_t deferred_total = instance->budgeted->deferred_total();
-  const uint64_t pending = instance->budgeted->deferred();
-  // Translation failures bump only the wrapper's rejected counter; the
-  // assigner's own books carry the infeasible ones. The difference is
-  // what the unbudgeted path counts as "skipped".
-  const uint64_t skipped_delta = (wrapper_rejected -
-                                  instance->pub_wrapper_rejected) -
-                                 (now.rejected - base.rejected);
+  const online::BudgetedAssigner* budgeted = instance->budgeted.get();
+  // The budget wrapper counts translation failures with its infeasible
+  // rejections; the assigner's books carry only the latter.
+  const uint64_t skipped =
+      budgeted != nullptr ? budgeted->rejected_total() - now.rejected
+                          : instance->stream->skipped();
+  const uint64_t deferred_total =
+      budgeted != nullptr ? budgeted->deferred_total() : 0;
+  const uint64_t pending = budgeted != nullptr ? budgeted->deferred() : 0;
+  if (updates_skipped_ != nullptr && skipped > instance->pub_skipped) {
+    updates_skipped_->Inc(skipped - instance->pub_skipped);
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     stats_.updates += now.updates - base.updates;
     stats_.rejected += now.rejected - base.rejected;
-    stats_.skipped += skipped_delta;
+    stats_.skipped += skipped - instance->pub_skipped;
     stats_.repairs += now.repairs - base.repairs;
     stats_.replans += now.replans - base.replans;
     stats_.churn.inputs_moved +=
@@ -212,7 +213,7 @@ void ServingShard::ReconcileBudgeted(Instance* instance) {
     stats_.budget_pending -= instance->pub_pending;
   }
   instance->pub_totals = now;
-  instance->pub_wrapper_rejected = wrapper_rejected;
+  instance->pub_skipped = skipped;
   instance->pub_deferred_total = deferred_total;
   instance->pub_pending = pending;
 }
@@ -275,11 +276,14 @@ void ServingShard::WorkerLoop() {
   }
 }
 
-void ServingShard::WalAppend(const durability::LogRecord& record) {
-  std::string error;
-  MSP_CHECK(wal_->Append(record, &error))
+durability::ChangelogWriter* ServingShard::Log() {
+  return wal_ != nullptr ? wal_->writer() : nullptr;
+}
+
+void ServingShard::CheckLogged(const std::string& log_error) const {
+  MSP_CHECK(log_error.empty())
       << "shard " << index_
-      << " cannot continue: changelog append failed (" << error << ")";
+      << " cannot continue: changelog append failed (" << log_error << ")";
 }
 
 void ServingShard::WalQuiesce() {
@@ -294,15 +298,8 @@ void ServingShard::WalRotate() {
   std::vector<durability::ImageEntry> entries;
   entries.reserve(instances_.size());
   for (const auto& [key, instance] : instances_) {
-    durability::ImageEntry entry;
-    entry.key = key;
-    entry.translate = instance.translate;
-    online::ReplayCursor cursor;
-    cursor.next_event = instance.event_seq;
-    cursor.live_of_trace = instance.live_of_trace;
-    entry.snapshot = online::SnapshotCodec::Serialize(
-        instance.live(), cursor, wal_->epoch() + 1);
-    entries.push_back(std::move(entry));
+    // Budgeted instances are refused on a WAL-attached shard.
+    entries.push_back(instance.stream->ToImage(wal_->epoch() + 1));
   }
   std::string error;
   MSP_CHECK(wal_->Rotate(entries, &error))
@@ -328,19 +325,17 @@ void ServingShard::Process(Task& task) {
       instance.budgeted = std::make_unique<online::BudgetedAssigner>(
           task.config, task.budget);
     } else {
-      instance.assigner =
-          std::make_unique<online::OnlineAssigner>(task.config);
-    }
-    instance.translate = task.translate;
-    if (wal_ != nullptr) {
       // A re-created key keeps its record ordinal: replay then knows
       // the create supersedes the old instance, not the new one.
       const auto it = instances_.find(task.key);
-      instance.event_seq =
-          it != instances_.end() ? it->second.event_seq : 0;
-      WalAppend(durability::LogRecord::Create(
-          task.key, instance.event_seq,
-          online::InstanceSpec::Of(task.config), task.translate));
+      const uint64_t next_event = it != instances_.end() && it->second.stream
+                                      ? it->second.stream->cursor().next_event
+                                      : 0;
+      instance.stream.emplace(task.key, task.config, task.translate,
+                              next_event);
+      std::string log_error;
+      instance.stream->Create(Log(), &log_error);
+      CheckLogged(log_error);
     }
     std::unique_lock<std::mutex> lock(mu_);
     instances_[task.key] = std::move(instance);
@@ -349,9 +344,6 @@ void ServingShard::Process(Task& task) {
   }
 
   if (task.checkpoint_all) {
-    uint64_t repairs = 0;
-    uint64_t replans = 0;
-    online::ChurnStats churn;
     for (auto& [key, instance] : instances_) {
       if (instance.budgeted != nullptr) {
         // End of stream: refresh the budget window by window while the
@@ -361,28 +353,13 @@ void ServingShard::Process(Task& task) {
                instance.budgeted->CloseWindow() > 0) {
         }
         instance.budgeted->PolicyCheckpoint();
-        ReconcileBudgeted(&instance);
-        continue;
+      } else {
+        std::string log_error;
+        instance.stream->Checkpoint(Log(), &log_error);
+        CheckLogged(log_error);
       }
-      const online::UpdateResult decision =
-          instance.assigner->PolicyCheckpoint();
-      if (decision.applied) {
-        churn += decision.churn;
-        if (decision.replanned) {
-          ++replans;
-        } else {
-          ++repairs;
-        }
-      }
-      if (wal_ != nullptr) {
-        WalAppend(
-            durability::LogRecord::Checkpoint(key, instance.event_seq));
-      }
+      Reconcile(&instance);
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    stats_.repairs += repairs;
-    stats_.replans += replans;
-    stats_.churn += churn;
     return;
   }
 
@@ -417,69 +394,13 @@ void ServingShard::Process(Task& task) {
     return;
   }
   Instance& instance = it->second;
-  online::OnlineAssigner& assigner = instance.live();
-
-  if (instance.budgeted != nullptr) {
-    // Budgeted instances: the wrapper owns translation, projection,
-    // and the deferral queue; shard counters reconcile from the
-    // assigner's own books afterwards (the wrapper may drain deferred
-    // events mid-loop at window rollovers).
-    const std::size_t bwindow = task.batch_size == 0 ? 1 : task.batch_size;
-    for (const online::Update& update : task.updates) {
-      const uint64_t wedge_us =
-          apply_delay_us_.load(std::memory_order_relaxed);
-      if (wedge_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(wedge_us));
-      }
-      heartbeat_.last_ordinal.fetch_add(1, std::memory_order_relaxed);
-      heartbeat_.last_progress_us.store(obs::MonotonicMicros(),
-                                        std::memory_order_relaxed);
-      Stopwatch watch;
-      const online::SubmitOutcome outcome =
-          instance.budgeted->Submit(update);
-      if (outcome == online::SubmitOutcome::kApplied) {
-        apply_latency_->RecordMicros(
-            static_cast<double>(watch.ElapsedMicros()));
-        if (assigner.pending_decision_updates() >= bwindow) {
-          instance.budgeted->PolicyCheckpoint();
-        }
-      }
-    }
-    if (span.active()) span.Arg("updates", task.updates.size());
-    ReconcileBudgeted(&instance);
-    return;
-  }
-
-  // Local tallies, merged under the lock once at the end of the task.
-  uint64_t applied = 0;
-  uint64_t rejected = 0;
-  uint64_t skipped = 0;
-  uint64_t repairs = 0;
-  uint64_t replans = 0;
-  online::ChurnStats churn;
 
   // The window position is the assigner's own pending-update count, so
   // a stream split across several Enqueue calls checkpoints exactly
   // like one big task would: task framing is not observable.
   const std::size_t window = task.batch_size == 0 ? 1 : task.batch_size;
-  const auto checkpoint = [&] {
-    const online::UpdateResult decision = assigner.PolicyCheckpoint();
-    if (decision.applied) {
-      churn += decision.churn;
-      if (decision.replanned) {
-        ++replans;
-      } else {
-        ++repairs;
-      }
-    }
-    if (wal_ != nullptr) {
-      WalAppend(durability::LogRecord::Checkpoint(task.key,
-                                                  instance.event_seq));
-    }
-  };
-
-  online::TraceIdTranslator translator(&instance.live_of_trace);
-  for (online::Update update : task.updates) {
+  durability::ChangelogWriter* log = Log();
+  for (const online::Update& update : task.updates) {
     const uint64_t wedge_us =
         apply_delay_us_.load(std::memory_order_relaxed);
     if (wedge_us > 0) {
@@ -490,54 +411,29 @@ void ServingShard::Process(Task& task) {
     heartbeat_.last_ordinal.fetch_add(1, std::memory_order_relaxed);
     heartbeat_.last_progress_us.store(obs::MonotonicMicros(),
                                       std::memory_order_relaxed);
-    if (instance.translate && !translator.Translate(&update)) {
-      ++skipped;
-      if (wal_ != nullptr) {
-        // Logged raw (translation failed); replay advances the ordinal
-        // without applying, reproducing the skip.
-        WalAppend(durability::LogRecord::Event(
-            durability::RecordKind::kSkipped, task.key,
-            ++instance.event_seq, update));
+    if (instance.budgeted != nullptr) {
+      // The wrapper owns translation, projection and the deferral
+      // queue; it may drain deferred events at window rollovers.
+      Stopwatch watch;
+      if (instance.budgeted->Submit(update) ==
+          online::SubmitOutcome::kApplied) {
+        // Lock-free: the histogram is safe to record outside mu_.
+        apply_latency_->Record(watch.ElapsedMicros());
+        if (instance.live().pending_decision_updates() >= window) {
+          instance.budgeted->PolicyCheckpoint();
+        }
       }
       continue;
     }
-    Stopwatch watch;
-    const online::UpdateResult result = assigner.ApplyDeferred(update);
-    const double us = static_cast<double>(watch.ElapsedMicros());
-    if (instance.translate &&
-        update.kind == online::UpdateKind::kAddInput) {
-      translator.RecordAdd(result.applied ? result.new_id : std::nullopt);
-    }
-    if (wal_ != nullptr) {
-      // Post-translation (live ids), post-outcome: replay re-applies
-      // deterministically and must reproduce applied/rejected.
-      WalAppend(durability::LogRecord::Event(
-          result.applied ? durability::RecordKind::kApplied
-                         : durability::RecordKind::kRejected,
-          task.key, ++instance.event_seq, update));
-    }
-    if (result.applied) {
-      ++applied;
-      churn += result.churn;
-      // Lock-free: the histogram is safe to record outside mu_.
-      apply_latency_->RecordMicros(us);
-      if (assigner.pending_decision_updates() >= window) checkpoint();
-    } else {
-      ++rejected;
+    const durability::StepResult step =
+        instance.stream->Apply(update, window, log);
+    CheckLogged(step.log_error);
+    if (step.kind == durability::RecordKind::kApplied) {
+      apply_latency_->Record(step.repair_us);
     }
   }
-  if (span.active()) span.Arg("updates", applied);
-  if (updates_skipped_ != nullptr && skipped > 0) {
-    updates_skipped_->Inc(skipped);
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  stats_.updates += applied;
-  stats_.rejected += rejected;
-  stats_.skipped += skipped;
-  stats_.repairs += repairs;
-  stats_.replans += replans;
-  stats_.churn += churn;
+  if (span.active()) span.Arg("updates", task.updates.size());
+  Reconcile(&instance);
 }
 
 }  // namespace msp::serving

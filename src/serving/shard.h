@@ -10,10 +10,11 @@
 // them in order, and Flush blocks until the mailbox is empty and the
 // worker idle. Per-key update order is therefore preserved end to end.
 //
-// The shard also owns the replay bookkeeping the CLI's trace format
-// needs (trace ids number every `add` line, but the assigner only
-// issues ids to applied adds) and per-update latency samples for the
-// serving stats tables.
+// Each unbudgeted instance is a durability::Stream (durability/
+// stream.h), the one translate → apply → log → checkpoint step the CLI
+// and WAL recovery also run; the shard adds the mailbox, the optional
+// changelog, per-update latency samples and the stats tables, which it
+// reconciles from each instance's own books after every task.
 
 #ifndef MSP_SERVING_SHARD_H_
 #define MSP_SERVING_SHARD_H_
@@ -26,10 +27,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "durability/stream.h"
 #include "durability/wal.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -199,29 +202,21 @@ class ServingShard {
 
  private:
   struct Instance {
-    /// Exactly one of these owns the live assigner: `budgeted` when a
-    /// churn budget was configured, else `assigner`.
-    std::unique_ptr<online::OnlineAssigner> assigner;
+    /// Exactly one of these is set: `budgeted` when a churn budget was
+    /// configured, else `stream`.
+    std::optional<durability::Stream> stream;
     std::unique_ptr<online::BudgetedAssigner> budgeted;
-    bool translate = false;
-    std::vector<std::optional<InputId>> live_of_trace;
-    /// Per-key changelog record ordinal (see durability/changelog.h).
-    /// Advanced by every processed event, logged with each record, and
-    /// restored from the snapshot cursor on recovery.
-    uint64_t event_seq = 0;
-    /// Budgeted instances account through OnlineTotals deltas (the
-    /// wrapper applies deferred events at times the task loop cannot
-    /// see); these are the baselines already folded into stats_.
+    /// The instance's books as last folded into stats_ (see Reconcile).
     online::OnlineTotals pub_totals;
-    uint64_t pub_wrapper_rejected = 0;
+    uint64_t pub_skipped = 0;
     uint64_t pub_deferred_total = 0;
     uint64_t pub_pending = 0;
 
     online::OnlineAssigner& live() {
-      return budgeted != nullptr ? budgeted->assigner() : *assigner;
+      return budgeted != nullptr ? budgeted->assigner() : stream->assigner();
     }
     const online::OnlineAssigner& live() const {
-      return budgeted != nullptr ? budgeted->assigner() : *assigner;
+      return budgeted != nullptr ? budgeted->assigner() : stream->assigner();
     }
   };
 
@@ -242,16 +237,20 @@ class ServingShard {
 
   void WorkerLoop();
   void Process(Task& task);
-  /// Worker-only: folds a budgeted instance's books (assigner totals +
-  /// wrapper counters) into stats_ as deltas against the instance's
-  /// published baselines, then advances the baselines. Locks mu_.
-  void ReconcileBudgeted(Instance* instance);
+  /// Worker-only: folds an instance's books (assigner totals, skipped
+  /// events, budget counters) into stats_ as deltas against its
+  /// published baselines, then advances the baselines. The one way the
+  /// shard accounts: deferred budget events apply at times the task
+  /// loop cannot see, so only the books are exact. Locks mu_.
+  void Reconcile(Instance* instance);
   /// Mailbox-side bookkeeping shared by every enqueue path (mu_ NOT
   /// held): dwell stamp + depth gauge.
   void StampEnqueue(Task* task);
-  /// Worker-only: appends one changelog record; a failure is fatal
-  /// (log-before-ack means nothing may be acked past it).
-  void WalAppend(const durability::LogRecord& record);
+  /// Worker-only: the live changelog writer, or null without a WAL.
+  durability::ChangelogWriter* Log();
+  /// Worker-only: a failed changelog append is fatal (log-before-ack
+  /// means nothing may be acked past it).
+  void CheckLogged(const std::string& log_error) const;
   /// Worker-only: durability barrier + rotation check, run when the
   /// mailbox drains (the group-commit flush point).
   void WalQuiesce();

@@ -9,6 +9,7 @@
 
 #include "cli/commands.h"
 #include "cli/sizes_io.h"
+#include "durability/changelog.h"
 #include "gtest/gtest.h"
 #include "util/flags.h"
 
@@ -786,6 +787,67 @@ TEST(CommandsTest, ServeWalRecoverRoundTrip) {
   EXPECT_NE(dirty.err.find("cannot attach changelog"), std::string::npos);
 
   RemoveWalDir(wal_dir, 2);
+}
+
+// The event and checkpoint records of the changelog at `path`, one
+// line each, without the key (which names the instance).
+std::vector<std::string> StreamRecords(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::string error;
+  const auto contents = durability::ReadChangelog(bytes.str(), &error);
+  EXPECT_TRUE(contents.has_value()) << path << ": " << error;
+  std::vector<std::string> records;
+  if (!contents.has_value()) return records;
+  for (const durability::LogRecord& record : contents->records) {
+    if (record.kind == durability::RecordKind::kCreate) continue;
+    const online::Update& u = record.update;
+    records.push_back(
+        "kind=" + std::to_string(static_cast<int>(record.kind)) +
+        " seq=" + std::to_string(record.seq) +
+        " update=" + std::to_string(static_cast<int>(u.kind)) + "/" +
+        std::to_string(static_cast<int>(u.side)) + "/" +
+        std::to_string(u.id) + "/" + std::to_string(u.value));
+  }
+  return records;
+}
+
+// `serve --wal-dir` and `online --wal-out` run the same stream step, so
+// the same trace and window must log the same records. The trace's 64
+// applied updates fill exactly 16 windows of 4: the last window closes
+// at apply time, and serve's end-of-stream CheckpointAll must then log
+// nothing more.
+TEST(CommandsTest, ServeAndOnlineLogTheSameRecords) {
+  const std::string wal_dir = TempPath("same.wal");
+  RemoveWalDir(wal_dir, 1);
+  const CommandResult trace =
+      RunCli({"gen-trace", "--kind=a2a", "--initial=12", "--steps=52",
+              "--seed=3"});
+  ASSERT_EQ(trace.code, 0) << trace.err;
+  const std::string trace_path = TempPath("same.trace");
+  WriteFile(trace_path, trace.out);
+  const std::string wal_out = TempPath("same.log");
+
+  const CommandResult online =
+      RunCli({"online", "--trace", trace_path.c_str(), "--batch=4",
+              "--wal-out", wal_out.c_str()});
+  ASSERT_EQ(online.code, 0) << online.err;
+  ASSERT_EQ(TableCell(online.err, "updates applied"), "64");
+  const CommandResult serve =
+      RunCli({"serve", "--instances=1", "--shards=1", "--initial=12",
+              "--steps=52", "--seed=3", "--batch=4", "--wal-dir",
+              wal_dir.c_str()});
+  ASSERT_EQ(serve.code, 0) << serve.err;
+
+  const auto want = StreamRecords(wal_out);
+  ASSERT_EQ(want.size(), 64u + 16u);
+  EXPECT_EQ(want.back().rfind("kind=4 seq=64 ", 0), 0u) << want.back();
+  EXPECT_EQ(StreamRecords(wal_dir + "/shard-0/wal.1"), want);
+
+  std::remove(trace_path.c_str());
+  std::remove(wal_out.c_str());
+  RemoveWalDir(wal_dir, 1);
 }
 
 TEST(CommandsTest, RecoverRejectsBadInvocations) {

@@ -12,10 +12,11 @@
 //                           and can fail fsyncs on demand
 //   FlipByte / TruncateTo / corruption injectors over a
 //   AlienMagic              MemFileSystem's durable image
-//   LoggedStream            one durable update stream driven exactly
-//                           like the serving shard drives it
-//                           (translate, log-before-ack, windowed
-//                           checkpoints), recording a per-record
+//   LoggedStream            one durable update stream written out by
+//                           hand (translate, log-before-ack, windowed
+//                           checkpoints) — the independent reference
+//                           durability::Stream must match byte for
+//                           byte — recording a per-record
 //                           StateFingerprint so a recovery from ANY
 //                           log prefix can be checked bit-identical
 //   SixShapes()             the six differential trace shapes
@@ -37,6 +38,7 @@
 
 #include "core/schema_io.h"
 #include "durability/changelog.h"
+#include "durability/stream.h"
 #include "online/assigner.h"
 #include "online/trace.h"
 #include "util/fs.h"
@@ -208,6 +210,11 @@ struct StateFingerprint {
     return fp;
   }
 
+  static StateFingerprint Of(const Stream& stream) {
+    return Of(stream.assigner(), stream.cursor().next_event,
+              stream.cursor().live_of_trace);
+  }
+
   bool operator==(const StateFingerprint&) const = default;
 };
 
@@ -227,8 +234,9 @@ inline online::InstanceSpec CrashSpec(bool x2y, InputSize capacity) {
   return spec;
 }
 
-/// One durable update stream, driven exactly like the serving shard
-/// drives an instance: translate trace ids, append the record BEFORE
+/// One durable update stream, written independently of
+/// durability::Stream (which the serving shard and the CLI run):
+/// translate trace ids, append the record BEFORE
 /// moving on (log-before-ack), checkpoint on full windows. After every
 /// appended record the harness stores a StateFingerprint, so a
 /// recovery from a prefix of K records can be asserted identical to

@@ -388,7 +388,7 @@ WalRun RotatedRun() {
   options.dir = "shard";
   options.fsync_every_n = 4;
   options.fs = run.fs.get();
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -403,13 +403,13 @@ WalRun RotatedRun() {
   online::OnlineAssigner assigner(spec.ToOnlineConfig());
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t event_seq = 0;
-  EXPECT_TRUE(wal->Append(LogRecord::Create("s", 0, spec, /*translate=*/true), &error))
+  EXPECT_TRUE(wal->writer()->Append(LogRecord::Create("s", 0, spec, /*translate=*/true), &error))
       << error;
   for (const online::Update& raw : trace.updates) {
     online::Update update = raw;
     online::TraceIdTranslator translator(&live_of_trace);
     if (!translator.Translate(&update)) {
-      EXPECT_TRUE(wal->Append(LogRecord::Event(
+      EXPECT_TRUE(wal->writer()->Append(LogRecord::Event(
           RecordKind::kSkipped, "s", ++event_seq, update)));
       continue;
     }
@@ -417,12 +417,12 @@ WalRun RotatedRun() {
     if (update.kind == online::UpdateKind::kAddInput) {
       translator.RecordAdd(result.applied ? result.new_id : std::nullopt);
     }
-    EXPECT_TRUE(wal->Append(LogRecord::Event(
+    EXPECT_TRUE(wal->writer()->Append(LogRecord::Event(
         result.applied ? RecordKind::kApplied : RecordKind::kRejected, "s",
         ++event_seq, update)));
     if (result.applied) {
       assigner.PolicyCheckpoint();
-      EXPECT_TRUE(wal->Append(LogRecord::Checkpoint("s", event_seq)));
+      EXPECT_TRUE(wal->writer()->Append(LogRecord::Checkpoint("s", event_seq)));
     }
   }
   EXPECT_TRUE(wal->Sync(&error)) << error;
@@ -454,19 +454,18 @@ void ExpectRecovers(MemFileSystem* fs, const StateFingerprint& want,
   options.dir = "shard";
   options.recover = true;
   options.fs = fs;
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
                             &stats, &error);
   ASSERT_NE(wal, nullptr) << error;
   ASSERT_EQ(recovered.size(), 1u);
-  const StreamState& stream = recovered.at("s");
-  EXPECT_EQ(StateFingerprint::Of(*stream.assigner, stream.event_seq,
-                                 stream.live_of_trace),
+  const Stream& stream = recovered.at("s");
+  EXPECT_EQ(StateFingerprint::Of(stream),
             want);
   EXPECT_EQ(stats.snapshot_epoch, want_snapshot_epoch);
-  EXPECT_TRUE(stream.assigner->ValidateNow());
+  EXPECT_TRUE(stream.assigner().ValidateNow());
 }
 
 TEST(ShardWalTest, RotationDeletesOldEpochAndRecovers) {
@@ -532,7 +531,7 @@ TEST(ShardWalTest, EveryRotationCrashStateRecovers) {
     options.dir = "shard";
     options.recover = true;
     options.fs = &fs;
-    std::map<std::string, StreamState> recovered;
+    std::map<std::string, Stream> recovered;
     RecoveryStats stats;
     std::string error;
     EXPECT_EQ(ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -552,7 +551,7 @@ TEST(ShardWalTest, StalePairIsRejected) {
     options.dir = "shard";
     options.recover = true;
     options.fs = &fs;
-    std::map<std::string, StreamState> recovered;
+    std::map<std::string, Stream> recovered;
     RecoveryStats stats;
     std::string error;
     EXPECT_EQ(ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -572,7 +571,7 @@ TEST(ShardWalTest, StalePairIsRejected) {
     options.dir = "shard";
     options.recover = true;
     options.fs = &fs;
-    std::map<std::string, StreamState> recovered;
+    std::map<std::string, Stream> recovered;
     RecoveryStats stats;
     std::string error;
     EXPECT_EQ(ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -589,7 +588,7 @@ TEST(ShardWalTest, FreshModeRefusesDirtyDirectory) {
   WalOptions options;
   options.dir = "shard";
   options.fs = &fs;
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   EXPECT_EQ(ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -609,7 +608,7 @@ TEST(ShardWalTest, GenesisTornHeaderRecoversEmpty) {
   options.dir = "shard";
   options.recover = true;
   options.fs = &fs;
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -625,7 +624,7 @@ TEST(ShardWalTest, WantsRotationHonorsThreshold) {
   options.dir = "shard";
   options.rotate_every = 3;
   options.fs = &fs;
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -633,7 +632,7 @@ TEST(ShardWalTest, WantsRotationHonorsThreshold) {
   ASSERT_NE(wal, nullptr) << error;
   EXPECT_FALSE(wal->WantsRotation());
   for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(wal->Append(LogRecord::Checkpoint("k", 0)));
+    ASSERT_TRUE(wal->writer()->Append(LogRecord::Checkpoint("k", 0)));
   }
   EXPECT_TRUE(wal->WantsRotation());
   ASSERT_TRUE(wal->Rotate({}, &error)) << error;

@@ -78,7 +78,7 @@ ReferenceRun RunReference(const wl::TraceConfig& shape) {
 // recovered-record count is monotone in the prefix length, so the
 // full byte sweep costs one replay per record, not per byte.
 void AdvanceReplay(const ReferenceRun& run,
-                   std::map<std::string, StreamState>* streams,
+                   std::map<std::string, Stream>* streams,
                    std::size_t* done, std::size_t want) {
   ASSERT_LE(want, run.records.size());
   if (want <= *done) return;
@@ -89,9 +89,8 @@ void AdvanceReplay(const ReferenceRun& run,
       << "records [" << *done << ", " << want << "): " << error;
   *done = want;
   ASSERT_EQ(streams->size(), 1u);
-  const StreamState& stream = streams->at("s");
-  EXPECT_EQ(StateFingerprint::Of(*stream.assigner, stream.event_seq,
-                                 stream.live_of_trace),
+  const Stream& stream = streams->at("s");
+  EXPECT_EQ(StateFingerprint::Of(stream),
             run.fingerprints[want - 1])
       << "recovered state diverges after record " << want;
 }
@@ -117,7 +116,7 @@ TEST_P(CrashSweepTest, EveryByteKillPointRecoversExactly) {
   const ReferenceRun run = RunReference(shape);
   ASSERT_GT(run.records.size(), 200u);
 
-  std::map<std::string, StreamState> streams;
+  std::map<std::string, Stream> streams;
   std::size_t done = 0;
   for (std::size_t len = 0; len <= run.bytes.size(); ++len) {
     std::string error;
@@ -169,7 +168,7 @@ TEST(CorruptionSweepTest, BitFlipsOnlyEverShortenHistory) {
           << "flip at " << at << " corrupted record " << i;
     }
     if (contents->records.empty()) continue;
-    std::map<std::string, StreamState> streams;
+    std::map<std::string, Stream> streams;
     std::size_t done = 0;
     AdvanceReplay(run, &streams, &done, contents->records.size());
   }
@@ -213,7 +212,7 @@ ShardRun RunShard(const wl::TraceConfig& shape) {
   options.dir = "shard";
   options.fsync_every_n = 1;
   options.fs = &fs;
-  std::map<std::string, StreamState> recovered;
+  std::map<std::string, Stream> recovered;
   RecoveryStats stats;
   std::string error;
   auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -229,7 +228,7 @@ ShardRun RunShard(const wl::TraceConfig& shape) {
   run.header_size = EncodeChangelogHeader(1).size();
   uint64_t end = run.header_size;
   const auto log = [&](const LogRecord& record) {
-    EXPECT_TRUE(wal->Append(record, &error)) << error;
+    EXPECT_TRUE(wal->writer()->Append(record, &error)) << error;
     end += EncodeRecord(record).size();
     run.boundaries.push_back(end);
     run.fingerprints.push_back(
@@ -286,7 +285,7 @@ TEST(ShardWalKillPointTest, SampledKillPointsRecoverExactly) {
     options.dir = "shard";
     options.recover = true;
     options.fs = &fs;
-    std::map<std::string, StreamState> recovered;
+    std::map<std::string, Stream> recovered;
     RecoveryStats stats;
     std::string error;
     auto wal = ShardWal::Open(options, options.dir, nullptr, &recovered,
@@ -309,11 +308,10 @@ TEST(ShardWalKillPointTest, SampledKillPointsRecoverExactly) {
       continue;
     }
     ASSERT_EQ(recovered.size(), 1u);
-    const StreamState& stream = recovered.at("s");
-    EXPECT_EQ(StateFingerprint::Of(*stream.assigner, stream.event_seq,
-                                   stream.live_of_trace),
+    const Stream& stream = recovered.at("s");
+    EXPECT_EQ(StateFingerprint::Of(stream),
               run.fingerprints[whole - 1]);
-    EXPECT_TRUE(stream.assigner->ValidateNow());
+    EXPECT_TRUE(stream.assigner().ValidateNow());
   }
 }
 
@@ -354,13 +352,12 @@ TEST(PowerLossTest, SyncedRecordsSurviveDropUnsynced) {
     EXPECT_LE(synced, appended);
     if (synced == 0) continue;
 
-    std::map<std::string, StreamState> streams;
+    std::map<std::string, Stream> streams;
     ASSERT_TRUE(
         ReplayRecords(contents->records, &streams, nullptr, nullptr, &error))
         << error;
-    const StreamState& recovered = streams.at("s");
-    EXPECT_EQ(StateFingerprint::Of(*recovered.assigner, recovered.event_seq,
-                                   recovered.live_of_trace),
+    const Stream& recovered = streams.at("s");
+    EXPECT_EQ(StateFingerprint::Of(recovered),
               stream.fingerprints()[synced - 1]);
   }
 }
@@ -390,13 +387,12 @@ TEST(PowerLossTest, ExplicitSyncIsDurable) {
   EXPECT_TRUE(contents->clean);
   EXPECT_EQ(contents->records.size(), stream.fingerprints().size());
 
-  std::map<std::string, StreamState> streams;
+  std::map<std::string, Stream> streams;
   ASSERT_TRUE(
       ReplayRecords(contents->records, &streams, nullptr, nullptr, &error))
       << error;
-  const StreamState& recovered = streams.at("s");
-  EXPECT_EQ(StateFingerprint::Of(*recovered.assigner, recovered.event_seq,
-                                 recovered.live_of_trace),
+  const Stream& recovered = streams.at("s");
+  EXPECT_EQ(StateFingerprint::Of(recovered),
             stream.fingerprints().back());
 }
 
@@ -432,13 +428,12 @@ TEST(FaultyWriterTest, KilledStreamRecoversToLastAppendedRecord) {
     ASSERT_TRUE(contents.has_value()) << error;
     ASSERT_EQ(contents->records.size(), stream.fingerprints().size());
 
-    std::map<std::string, StreamState> streams;
+    std::map<std::string, Stream> streams;
     ASSERT_TRUE(
         ReplayRecords(contents->records, &streams, nullptr, nullptr, &error))
         << error;
-    const StreamState& recovered = streams.at("s");
-    EXPECT_EQ(StateFingerprint::Of(*recovered.assigner, recovered.event_seq,
-                                   recovered.live_of_trace),
+    const Stream& recovered = streams.at("s");
+    EXPECT_EQ(StateFingerprint::Of(recovered),
               stream.fingerprints().back());
   }
 }

@@ -270,6 +270,34 @@ TEST(ServingDurabilityTest, RecoveredServiceContinuesDurably) {
   }
 }
 
+// A checkpoint with nothing pending decides nothing, so it logs
+// nothing: once a CheckpointAll has flushed every trailing window, a
+// second one on the quiescent service appends no record at all.
+TEST(ServingDurabilityTest, QuiescentCheckpointAllAppendsNoRecords) {
+  MemFileSystem fs;
+  durability::WalOptions wal;
+  wal.dir = "wal";
+  wal.fs = &fs;
+  ServingConfig config;
+  config.num_shards = kShards;
+  ServingService service(config);
+  std::string error;
+  ASSERT_TRUE(service.AttachWal(wal, &error)) << error;
+  for (auto& [key, trace] : MakeTraces()) {
+    ASSERT_EQ(service.CreateInstance(key, InstanceConfig(trace),
+                                     /*translate_trace_ids=*/true),
+              "");
+    service.SubmitBatch(key, std::move(trace.updates), kBatch);
+  }
+  service.CheckpointAll();
+  service.Flush();
+  const uint64_t records = service.stats().total.wal_records;
+  EXPECT_GT(records, 0u);
+  service.CheckpointAll();
+  service.Flush();
+  EXPECT_EQ(service.stats().total.wal_records, records);
+}
+
 // A churn budget cannot ride a WAL: the changelog logs events in
 // apply order, which budget deferral would reorder. The combination is
 // refused when it is asked for — never accepted with the budget

@@ -342,11 +342,19 @@ struct Driver {
   explicit Driver(std::unique_ptr<OnlineAssigner> resumed,
                   std::vector<std::optional<InputId>> translation = {},
                   uint64_t next_event = 0)
-      : assigner(std::move(resumed)),
+      : Driver(resumed.get(), std::move(translation), next_event) {
+    owned = std::move(resumed);
+  }
+  /// Drives an assigner owned elsewhere (a recovered stream's).
+  Driver(OnlineAssigner* resumed,
+         std::vector<std::optional<InputId>> translation,
+         uint64_t next_event)
+      : assigner(resumed),
         live_of_trace(std::move(translation)),
         event_seq(next_event) {}
 
-  std::unique_ptr<OnlineAssigner> assigner;
+  std::unique_ptr<OnlineAssigner> owned;
+  OnlineAssigner* assigner = nullptr;
   std::vector<std::optional<InputId>> live_of_trace;
   uint64_t event_seq = 0;
 
@@ -447,16 +455,16 @@ TEST(SpecRecoveryTest, WalRecoveryKeepsEveryField) {
       const auto contents =
           durability::ReadChangelog(mem.WrittenContents("wal"), &error);
       ASSERT_TRUE(contents.has_value()) << error;
-      std::map<std::string, durability::StreamState> streams;
+      std::map<std::string, durability::Stream> streams;
       ASSERT_TRUE(durability::ReplayRecords(contents->records, &streams,
                                             nullptr, nullptr, &error))
           << error;
-      durability::StreamState& recovered = streams.at("s");
-      EXPECT_EQ(InstanceSpec::Of(recovered.assigner->config()), spec);
-      EXPECT_TRUE(recovered.translate);
+      durability::Stream& recovered = streams.at("s");
+      EXPECT_EQ(InstanceSpec::Of(recovered.assigner().config()), spec);
+      EXPECT_TRUE(recovered.translate());
 
-      Driver driver(std::move(recovered.assigner),
-                    std::move(recovered.live_of_trace), recovered.event_seq);
+      Driver driver(&recovered.assigner(), recovered.cursor().live_of_trace,
+                    recovered.cursor().next_event);
       driver.Finish(trace);
       EXPECT_EQ(driver.Fingerprint(), want);
       EXPECT_EQ(driver.assigner->totals().churn.bytes_moved,
