@@ -627,6 +627,11 @@ std::optional<online::InstanceSpec> LoadInstanceSpec(const ArgParser& parser,
            "--matching-gap/--portfolio/--churn-budget/--budget-window\n";
     return std::nullopt;
   }
+  if (parser.Has("budget-window") && *budget_bytes == 0) {
+    err << "error: --budget-window needs --churn-budget (without a budget "
+           "there is no window to size)\n";
+    return std::nullopt;
+  }
   const std::string matching = parser.GetString("matching", "greedy");
   if (matching == "hungarian") {
     spec.matching = online::DeltaMatching::kHungarian;
@@ -1677,7 +1682,8 @@ void PrintUsage(std::ostream& out) {
          "  repair bytes shipped per window of N events; over-budget\n"
          "  events defer FIFO). A command that cannot honour a field\n"
          "  refuses it: a churn budget with --wal-out/--wal-dir, in a\n"
-         "  snapshot, or in simulate exits 2.\n"
+         "  snapshot, or in simulate exits 2, and so does\n"
+         "  --budget-window without --churn-budget.\n"
          "\n"
          "observability: --metrics-out dumps every registry series at\n"
          "  exit (Prometheus text, or CSV when FILE ends in .csv);\n"

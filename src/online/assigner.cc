@@ -407,42 +407,45 @@ UpdateResult OnlineAssigner::Compact() {
   result.applied = true;
   MappingSchema merged = state_.ToSchema();
   MergeReducers(state_.sizes, state_.capacity, &merged);
-  result.churn = DeployMinMove(merged);
+  result.churn = DeployMinMove(std::move(merged));
   totals_.churn += result.churn;
   return result;
 }
 
-ChurnStats OnlineAssigner::DeployMinMove(const MappingSchema& fresh_live) {
+ChurnStats OnlineAssigner::DeployMinMove(MappingSchema fresh_live) {
   obs::Span span("online.deploy");
-  const MappingSchema current = state_.ToSchema();
   DeltaDetail detail;
-  const DeltaStats delta = MinMoveDelta(state_.sizes, current, fresh_live,
-                                        &detail, config_.delta_matching);
-  const ChurnStats churn = delta.ToChurn();
+  DeltaStats delta;
+  {
+    obs::Span diff("online.deploy.delta");
+    delta = MinMoveDelta(state_.sizes, state_.reducers, fresh_live.reducers,
+                         &detail, config_.delta_matching);
+    if (config_.measure_matching_gap) {
+      // One extra matching with the other backend. Both land on the
+      // same final schema; only the shipped bytes differ, and Hungarian
+      // is provably minimal, so greedy - hungarian >= 0 up to ties.
+      const bool greedy_deployed =
+          config_.delta_matching == DeltaMatching::kGreedy;
+      const DeltaStats other = MinMoveDelta(
+          state_.sizes, state_.reducers, fresh_live.reducers, nullptr,
+          greedy_deployed ? DeltaMatching::kHungarian
+                          : DeltaMatching::kGreedy);
+      const uint64_t greedy_bytes =
+          greedy_deployed ? delta.bytes_moved : other.bytes_moved;
+      const uint64_t exact_bytes =
+          greedy_deployed ? other.bytes_moved : delta.bytes_moved;
+      last_matching_gap_bytes_ =
+          greedy_bytes > exact_bytes ? greedy_bytes - exact_bytes : 0;
+    }
+  }
   if (span.active()) {
     span.Arg("candidates", delta.overlapping_pairs);
-    span.Arg("old_reducers",
-             static_cast<uint64_t>(current.num_reducers()));
+    span.Arg("old_reducers", static_cast<uint64_t>(state_.reducers.size()));
     span.Arg("new_reducers",
              static_cast<uint64_t>(fresh_live.num_reducers()));
     span.Arg("matched", delta.reducers_matched);
   }
-  if (config_.measure_matching_gap) {
-    // One extra matching with the other backend. Both land on the same
-    // final schema; only the shipped bytes differ, and Hungarian is
-    // provably minimal, so greedy - hungarian >= 0 up to ties.
-    const bool greedy_deployed =
-        config_.delta_matching == DeltaMatching::kGreedy;
-    const DeltaStats other = MinMoveDelta(
-        state_.sizes, current, fresh_live, nullptr,
-        greedy_deployed ? DeltaMatching::kHungarian : DeltaMatching::kGreedy);
-    const uint64_t greedy_bytes =
-        greedy_deployed ? delta.bytes_moved : other.bytes_moved;
-    const uint64_t exact_bytes =
-        greedy_deployed ? other.bytes_moved : delta.bytes_moved;
-    last_matching_gap_bytes_ =
-        greedy_bytes > exact_bytes ? greedy_bytes - exact_bytes : 0;
-  }
+  obs::Span install("online.deploy.install");
   // Matched reducers keep their stable identity; created ones get
   // fresh uids, assigned here so the ships below can reference them.
   std::vector<uint64_t> uids(fresh_live.num_reducers());
@@ -463,8 +466,8 @@ ChurnStats OnlineAssigner::DeployMinMove(const MappingSchema& fresh_live) {
           {ReshuffleOp::Kind::kShip, id, uids[t], state_.sizes[id]});
     }
   }
-  state_.ResetSchemaWithUids(fresh_live, std::move(uids));
-  return churn;
+  state_.ResetSchemaWithUids(std::move(fresh_live), std::move(uids));
+  return delta.ToChurn();
 }
 
 UpdateResult OnlineAssigner::Reject(std::string why) {
@@ -544,7 +547,7 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
       std::sort(reducer.begin(), reducer.end());
     }
   }
-  DeployReplanned(fresh, result);
+  DeployReplanned(std::move(fresh), result);
   if (span.active()) {
     span.Arg("deployed", result->replanned);
     span.Arg("fresh_reducers", last_fresh_reducers_);
@@ -552,7 +555,7 @@ void OnlineAssigner::MaybeReplan(UpdateResult* result) {
   }
 }
 
-void OnlineAssigner::DeployReplanned(const MappingSchema& fresh_live,
+void OnlineAssigner::DeployReplanned(MappingSchema fresh_live,
                                      UpdateResult* result) {
   ChurnStats replan_churn;
   if (config_.full_reassign_on_replan) {
@@ -580,9 +583,9 @@ void OnlineAssigner::DeployReplanned(const MappingSchema& fresh_live,
         }
       }
     }
-    state_.ResetSchemaWithUids(fresh_live, std::move(uids));
+    state_.ResetSchemaWithUids(std::move(fresh_live), std::move(uids));
   } else {
-    replan_churn = DeployMinMove(fresh_live);
+    replan_churn = DeployMinMove(std::move(fresh_live));
   }
   result->churn += replan_churn;
   result->replanned = true;

@@ -283,14 +283,14 @@ class OnlineAssigner {
   /// Migrates the live schema to `fresh_live` through the min-move
   /// delta: matched reducers keep their uids, the symmetric difference
   /// is logged to the move log, and the delta churn is returned.
-  ChurnStats DeployMinMove(const MappingSchema& fresh_live);
+  /// `fresh_live` becomes the live schema without a copy.
+  ChurnStats DeployMinMove(MappingSchema fresh_live);
   UpdateResult DoAdd(InputSize size, Side side);
   UpdateResult DoRemove(InputId id);
   UpdateResult DoResize(InputId id, InputSize size);
   UpdateResult DoSetCapacity(InputSize capacity);
   void MaybeReplan(UpdateResult* result);
-  void DeployReplanned(const MappingSchema& fresh_live,
-                       UpdateResult* result);
+  void DeployReplanned(MappingSchema fresh_live, UpdateResult* result);
 
   OnlineConfig config_;
   LiveState state_;

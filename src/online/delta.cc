@@ -1,7 +1,11 @@
 #include "online/delta.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <limits>
+#include <span>
 
 #include "util/check.h"
 
@@ -17,13 +21,19 @@ struct Candidate {
 
 // The greedy's visiting order is overlap descending, then `from`
 // ascending, then `to` ascending: a strict total order, as each
-// (from, to) pair is one candidate. As a std heap comparator ("a ranks
-// below b") it makes a range a max-heap whose front is visited first.
+// (from, to) pair is one candidate. Rank() packs it into one 128-bit
+// integer, larger = visited first, so a comparison is two word compares
+// without a data-dependent branch (overlaps tie often). As a std heap
+// comparator ("a ranks below b") it makes a range a max-heap whose
+// front is visited first.
+unsigned __int128 Rank(const Candidate& c) {
+  return static_cast<unsigned __int128>(c.overlap) << 64 |
+         uint64_t{~c.from} << 32 | ~c.to;
+}
+
 struct RanksBelow {
   bool operator()(const Candidate& a, const Candidate& b) const {
-    if (a.overlap != b.overlap) return a.overlap < b.overlap;
-    if (a.from != b.from) return a.from > b.from;
-    return a.to > b.to;
+    return Rank(a) < Rank(b);
   }
 };
 
@@ -35,28 +45,35 @@ constexpr uint32_t kNoMatch = ~uint32_t{0};
 // when the reducer shares bytes with no available partner).
 //
 // `candidates` holds group t (the candidates of `to` reducer t) in
-// [group_begin[t], group_begin[t + 1]). Instead of sorting them all,
-// each group becomes a lazy max-heap and a heap of group heads yields
-// the next candidate. A group leaves the heads once its reducer is
-// matched, and a head whose `from` reducer is taken is popped and its
-// group's next best re-offered. Taken reducers stay taken, so this
-// visits the accepted candidates in exactly the sorted order, while
-// only the candidates inspected pay a log factor.
+// [group_begin[t], group_begin[t + 1]), its best candidate first (see
+// CollectCandidates). Instead of sorting them all, a heap of group
+// heads yields the next candidate. A group leaves the heads once its
+// reducer is matched. A head whose `from` reducer is taken is discarded
+// and its group's next best re-offered; only then does the rest of the
+// group become a max-heap, so a group whose first head is accepted is
+// never heapified (on replan-large, about 20 groups of 150 ever are).
+// Taken reducers stay taken, so this visits the accepted candidates in
+// exactly the sorted order, while only the candidates inspected after a
+// stale head pay a log factor.
 std::vector<uint32_t> GreedyMatch(std::size_t num_old,
                                   const std::vector<std::size_t>& group_begin,
                                   std::vector<Candidate> candidates) {
   const std::size_t num_new = group_begin.size() - 1;
   std::vector<uint32_t> match_of_new(num_new, kNoMatch);
   std::vector<bool> old_taken(num_old, false);
-  std::vector<std::size_t> group_end(group_begin.begin() + 1,
-                                     group_begin.end());
+  // Group t's live candidates are [first[t], last[t]); past its first
+  // stale head (heaped[t]) they form a heap.
+  std::vector<std::size_t> first(group_begin.begin(), group_begin.end() - 1);
+  std::vector<std::size_t> last(group_begin.begin() + 1, group_begin.end());
+  std::vector<bool> heaped(num_new, false);
+  const auto at = [&candidates](std::size_t k) {
+    return candidates.begin() + static_cast<std::ptrdiff_t>(k);
+  };
   std::vector<Candidate> heads;
   heads.reserve(num_new);
   for (std::size_t t = 0; t < num_new; ++t) {
-    if (group_begin[t] == group_end[t]) continue;
-    std::make_heap(candidates.begin() + group_begin[t],
-                   candidates.begin() + group_end[t], RanksBelow{});
-    heads.push_back(candidates[group_begin[t]]);
+    if (first[t] == last[t]) continue;
+    heads.push_back(*at(first[t]));
   }
   std::make_heap(heads.begin(), heads.end(), RanksBelow{});
   std::size_t matched = 0;
@@ -70,15 +87,22 @@ std::vector<uint32_t> GreedyMatch(std::size_t num_old,
       ++matched;
       continue;
     }
-    const auto first = candidates.begin() + group_begin[head.to];
-    auto last = candidates.begin() + group_end[head.to];
-    do {
-      std::pop_heap(first, last, RanksBelow{});
-      --last;
-    } while (last != first && old_taken[first->from]);
-    group_end[head.to] = last - candidates.begin();
-    if (last != first) {
-      heads.push_back(*first);
+    const std::size_t t = head.to;
+    auto lo = at(first[t]);
+    auto hi = at(last[t]);
+    if (!heaped[t]) {  // drop the scanned head, heapify the rest
+      heaped[t] = true;
+      std::make_heap(++lo, hi, RanksBelow{});
+    } else {
+      std::pop_heap(lo, hi--, RanksBelow{});
+    }
+    while (lo != hi && old_taken[lo->from]) {
+      std::pop_heap(lo, hi--, RanksBelow{});
+    }
+    first[t] = lo - candidates.begin();
+    last[t] = hi - candidates.begin();
+    if (lo != hi) {
+      heads.push_back(*lo);
       std::push_heap(heads.begin(), heads.end(), RanksBelow{});
     }
   }
@@ -164,100 +188,236 @@ std::vector<uint32_t> HungarianMatch(std::size_t num_old,
   return match_of_new;
 }
 
-std::vector<Reducer> SortedReducers(const MappingSchema& schema) {
-  std::vector<Reducer> reducers = schema.reducers;
-  for (Reducer& r : reducers) std::sort(r.begin(), r.end());
-  return reducers;
+// Each reducer's members as an ascending span. A sorted reducer (every
+// reducer of a live schema and of a remapped plan) is read in place;
+// only an unsorted one is copied and sorted.
+class SortedReducers {
+ public:
+  explicit SortedReducers(std::span<const Reducer> reducers) {
+    std::size_t unsorted = 0;
+    for (const Reducer& r : reducers) {
+      unsorted += std::is_sorted(r.begin(), r.end()) ? 0 : 1;
+      copies_ += r.size();
+    }
+    sorted_.reserve(unsorted);  // members_ points into it: no regrowth
+    members_.reserve(reducers.size());
+    for (const Reducer& r : reducers) {
+      if (unsorted == 0 || std::is_sorted(r.begin(), r.end())) {
+        members_.emplace_back(r);
+        continue;
+      }
+      Reducer& copy = sorted_.emplace_back(r);
+      std::sort(copy.begin(), copy.end());
+      members_.emplace_back(copy);
+    }
+  }
+
+  std::size_t size() const { return members_.size(); }
+  std::size_t copies() const { return copies_; }
+  std::span<const InputId> operator[](std::size_t r) const {
+    return members_[r];
+  }
+
+ private:
+  std::size_t copies_ = 0;
+  std::vector<Reducer> sorted_;
+  std::vector<std::span<const InputId>> members_;
+};
+
+// Stable LSD radix sort of `keys` by their high 32 bits, an input id no
+// larger than `max_id`: one pass per 8-bit digit the largest id needs,
+// each O(keys + 256). Nothing is sized by the id range.
+void SortByInputId(std::vector<uint64_t>* keys, InputId max_id) {
+  std::vector<uint64_t> out(keys->size());
+  const int bits = static_cast<int>(std::bit_width(max_id));
+  for (int shift = 32; shift < 32 + bits; shift += 8) {
+    std::array<uint32_t, 257> next{};
+    for (const uint64_t key : *keys) ++next[((key >> shift) & 0xff) + 1];
+    for (std::size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
+    for (const uint64_t key : *keys) out[next[(key >> shift) & 0xff]++] = key;
+    keys->swap(out);
+  }
 }
 
-// Copies in `a` missing from `b` (both sorted): count and total bytes,
-// plus (when `items` is non-null) the ids themselves.
-void Difference(const std::vector<InputSize>& sizes, const Reducer& a,
-                const Reducer& b, uint64_t* count, uint64_t* bytes,
-                std::vector<InputId>* items = nullptr) {
+// Flat inverted index of the old reducers' copies, and where each new
+// copy lands in it. Input group g's holders (old reducers holding a
+// copy, ascending) are holders[offsets[g], offsets[g + 1]); group 0 is
+// empty. The new copy at flat position p (new reducers in order, each
+// one's members ascending) belongs to group slot[p], which is 0 when no
+// old reducer holds its input. Every array is sized by the copy counts,
+// whatever the range of the ids.
+struct CopyIndex {
+  std::vector<uint32_t> offsets{0, 0};
+  std::vector<uint32_t> holders;
+  std::vector<uint32_t> slot;
+};
+
+// Builds the index from one radix sort of all copies, old and new, keyed
+// by input id. Old copies are listed first and the sort is stable, so
+// each id's old holders come first, ascending, then its new copies.
+CopyIndex IndexCopies(const SortedReducers& old_reducers,
+                      const SortedReducers& new_reducers) {
+  constexpr uint64_t kNewCopy = uint64_t{1} << 31;
+  MSP_CHECK_LT(old_reducers.size(), kNewCopy);
+  MSP_CHECK_LT(new_reducers.copies(), kNewCopy);
+  std::vector<uint64_t> keys;
+  keys.reserve(old_reducers.copies() + new_reducers.copies());
+  InputId max_id = 0;
+  for (uint32_t f = 0; f < old_reducers.size(); ++f) {
+    for (const InputId id : old_reducers[f]) {
+      keys.push_back(uint64_t{id} << 32 | f);
+    }
+    if (!old_reducers[f].empty()) {
+      max_id = std::max(max_id, old_reducers[f].back());
+    }
+  }
+  uint32_t p = 0;
+  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
+    for (const InputId id : new_reducers[t]) {
+      keys.push_back(uint64_t{id} << 32 | kNewCopy | p++);
+    }
+    if (!new_reducers[t].empty()) {
+      max_id = std::max(max_id, new_reducers[t].back());
+    }
+  }
+  SortByInputId(&keys, max_id);
+
+  CopyIndex index;
+  index.offsets.reserve(old_reducers.copies() + 2);
+  index.holders.reserve(old_reducers.copies());
+  index.slot.resize(new_reducers.copies());
+  uint32_t group = 0;
+  for (std::size_t k = 0; k < keys.size();) {
+    const uint64_t id = keys[k] >> 32;
+    if ((keys[k] & kNewCopy) == 0) {
+      for (; k < keys.size() && keys[k] >> 32 == id &&
+             (keys[k] & kNewCopy) == 0;
+           ++k) {
+        index.holders.push_back(static_cast<uint32_t>(keys[k]));
+      }
+      index.offsets.push_back(static_cast<uint32_t>(index.holders.size()));
+      group = static_cast<uint32_t>(index.offsets.size() - 2);
+    } else {
+      group = 0;
+    }
+    for (; k < keys.size() && keys[k] >> 32 == id; ++k) {
+      index.slot[static_cast<uint32_t>(keys[k]) & (kNewCopy - 1)] = group;
+    }
+  }
+  return index;
+}
+
+// Overlap bytes for every (old, new) reducer pair sharing an input,
+// grouped by `to` reducer as GreedyMatch expects: a linear max scan,
+// run as each group is emitted, puts the group's best candidate (in
+// RanksBelow order) at its front. A first pass counts each new
+// reducer's co-occurrences, which bound its candidates, so `candidates`
+// is allocated once. A dense scratch accumulator sums the overlaps,
+// linear in the number of co-occurrences. The touched list advances
+// without a branch, by whether the old reducer's sum was still zero; a
+// repeat (only possible after a zero-sized input) is harmless, as its
+// sum reads zero by then and is skipped.
+void CollectCandidates(const std::vector<InputSize>& sizes,
+                       const SortedReducers& old_reducers,
+                       const SortedReducers& new_reducers,
+                       std::vector<Candidate>* candidates,
+                       std::vector<std::size_t>* group_begin) {
+  const CopyIndex index = IndexCopies(old_reducers, new_reducers);
+  const auto holders_of = [&index](uint32_t group) {
+    return std::span<const uint32_t>(index.holders)
+        .subspan(index.offsets[group],
+                 index.offsets[group + 1] - index.offsets[group]);
+  };
+  const std::size_t num_old = old_reducers.size();
+  std::size_t bound = 0;
+  std::size_t most_cooccurrences = 0;
+  for (uint32_t t = 0, p = 0; t < new_reducers.size(); ++t) {
+    std::size_t cooccurrences = 0;
+    for (std::size_t end = p + new_reducers[t].size(); p < end; ++p) {
+      cooccurrences += holders_of(index.slot[p]).size();
+    }
+    bound += std::min(cooccurrences, num_old);
+    most_cooccurrences = std::max(most_cooccurrences, cooccurrences);
+  }
+  candidates->reserve(bound);
+
+  std::vector<InputSize> overlap_with(num_old, 0);
+  // A group advances the touched list at most once per co-occurrence,
+  // and every co-occurrence writes the slot just past the last advance.
+  std::vector<uint32_t> touched(most_cooccurrences + 1);
+  group_begin->reserve(new_reducers.size() + 1);
+  group_begin->push_back(0);
+  for (uint32_t t = 0, p = 0; t < new_reducers.size(); ++t) {
+    std::size_t num_touched = 0;
+    for (const InputId id : new_reducers[t]) {
+      const InputSize w = sizes[id];
+      for (const uint32_t f : holders_of(index.slot[p++])) {
+        touched[num_touched] = f;
+        num_touched += overlap_with[f] == 0 ? 1 : 0;
+        overlap_with[f] += w;
+      }
+    }
+    const std::size_t front = candidates->size();
+    std::size_t best = front;
+    unsigned __int128 best_rank = 0;
+    for (std::size_t k = 0; k < num_touched; ++k) {
+      const uint32_t f = touched[k];
+      if (overlap_with[f] != 0) {
+        const Candidate c{overlap_with[f], f, t};
+        const unsigned __int128 rank = Rank(c);
+        best = rank > best_rank ? candidates->size() : best;
+        best_rank = std::max(best_rank, rank);
+        candidates->push_back(c);
+      }
+      overlap_with[f] = 0;
+    }
+    if (candidates->size() > front) {
+      std::swap((*candidates)[front], (*candidates)[best]);
+    }
+    group_begin->push_back(candidates->size());
+  }
+}
+
+// Walks a matched pair once, both ascending: members only in `to_r`
+// ship to `to` reducer t, members only in `from_r` drop from `from`
+// reducer f.
+void DiffMatched(const std::vector<InputSize>& sizes, uint32_t t,
+                 std::span<const InputId> to_r, uint32_t f,
+                 std::span<const InputId> from_r, DeltaStats* delta,
+                 DeltaDetail* detail) {
+  const auto ship = [&](InputId id) {
+    ++delta->inputs_moved;
+    delta->bytes_moved += sizes[id];
+    if (detail != nullptr) detail->ships.emplace_back(t, id);
+  };
+  const auto drop = [&](InputId id) {
+    ++delta->inputs_dropped;
+    if (detail != nullptr) detail->drops.emplace_back(f, id);
+  };
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < a.size()) {
-    if (j == b.size() || a[i] < b[j]) {
-      ++*count;
-      *bytes += sizes[a[i]];
-      if (items != nullptr) items->push_back(a[i]);
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
+  while (i < to_r.size() && j < from_r.size()) {
+    if (to_r[i] < from_r[j]) {
+      ship(to_r[i++]);
+    } else if (from_r[j] < to_r[i]) {
+      drop(from_r[j++]);
     } else {
       ++i;
       ++j;
     }
   }
-}
-
-// Overlap bytes for every (old, new) reducer pair sharing an input,
-// grouped by `to` reducer as GreedyMatch expects. The inverted index
-// (input -> old reducers holding a copy) is flat CSR over the copies of
-// `old_reducers`: each copy as (input, reducer), sorted, so input
-// held[i]'s holders are holders[offsets[i], offsets[i + 1]). Its size is
-// the copy count, whatever the range of the ids. Members of a new
-// reducer ascend, so their lookups in `held` only move forward. A dense
-// scratch accumulator (reset via the touched list) keeps the overlap
-// sums linear in the number of co-occurrences.
-void CollectCandidates(const std::vector<InputSize>& sizes,
-                       const std::vector<Reducer>& old_reducers,
-                       const std::vector<Reducer>& new_reducers,
-                       std::vector<Candidate>* candidates,
-                       std::vector<std::size_t>* group_begin) {
-  std::vector<uint64_t> copies;
-  for (uint32_t r = 0; r < old_reducers.size(); ++r) {
-    for (InputId id : old_reducers[r]) {
-      copies.push_back(uint64_t{id} << 32 | r);
-    }
-  }
-  std::sort(copies.begin(), copies.end());
-  std::vector<InputId> held;
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> holders(copies.size());
-  for (uint32_t k = 0; k < copies.size(); ++k) {
-    const auto id = static_cast<InputId>(copies[k] >> 32);
-    if (held.empty() || held.back() != id) {
-      held.push_back(id);
-      offsets.push_back(k);
-    }
-    holders[k] = static_cast<uint32_t>(copies[k]);
-  }
-  offsets.push_back(static_cast<uint32_t>(copies.size()));
-
-  std::vector<InputSize> overlap_with(old_reducers.size(), 0);
-  std::vector<uint32_t> touched;
-  group_begin->assign(1, 0);
-  for (uint32_t t = 0; t < new_reducers.size(); ++t) {
-    auto lo = held.begin();
-    for (InputId id : new_reducers[t]) {
-      lo = std::lower_bound(lo, held.end(), id);
-      if (lo == held.end()) break;
-      if (*lo != id) continue;
-      const std::size_t i = lo - held.begin();
-      for (uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        const uint32_t f = holders[k];
-        if (overlap_with[f] == 0) touched.push_back(f);
-        overlap_with[f] += sizes[id];
-      }
-    }
-    for (uint32_t f : touched) {
-      candidates->push_back({overlap_with[f], f, t});
-      overlap_with[f] = 0;
-    }
-    touched.clear();
-    group_begin->push_back(candidates->size());
-  }
+  for (; i < to_r.size(); ++i) ship(to_r[i]);
+  for (; j < from_r.size(); ++j) drop(from_r[j]);
 }
 
 }  // namespace
 
 DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
-                        const MappingSchema& from, const MappingSchema& to,
-                        DeltaDetail* detail, DeltaMatching matching) {
-  const std::vector<Reducer> old_reducers = SortedReducers(from);
-  const std::vector<Reducer> new_reducers = SortedReducers(to);
+                        std::span<const Reducer> from,
+                        std::span<const Reducer> to, DeltaDetail* detail,
+                        DeltaMatching matching) {
+  const SortedReducers old_reducers(from);
+  const SortedReducers new_reducers(to);
   DeltaStats delta;
   if (detail != nullptr) {
     detail->matched_from.assign(new_reducers.size(), DeltaDetail::kUnmatched);
@@ -285,33 +445,19 @@ DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
     ++delta.reducers_matched;
   }
 
-  std::vector<InputId> items;
   for (uint32_t t = 0; t < new_reducers.size(); ++t) {
-    if (match_of_new[t] == ~uint32_t{0}) {
-      ++delta.reducers_created;
-      for (InputId id : new_reducers[t]) {
-        ++delta.inputs_moved;
-        delta.bytes_moved += sizes[id];
-        if (detail != nullptr) detail->ships.emplace_back(t, id);
-      }
+    const uint32_t f = match_of_new[t];
+    if (f != kNoMatch) {
+      if (detail != nullptr) detail->matched_from[t] = f;
+      DiffMatched(sizes, t, new_reducers[t], f, old_reducers[f], &delta,
+                  detail);
       continue;
     }
-    if (detail != nullptr) detail->matched_from[t] = match_of_new[t];
-    const Reducer& old_r = old_reducers[match_of_new[t]];
-    items.clear();
-    Difference(sizes, new_reducers[t], old_r, &delta.inputs_moved,
-               &delta.bytes_moved, detail != nullptr ? &items : nullptr);
-    if (detail != nullptr) {
-      for (InputId id : items) detail->ships.emplace_back(t, id);
-    }
-    uint64_t dropped_bytes = 0;  // bytes of dropped copies are not churn
-    items.clear();
-    Difference(sizes, old_r, new_reducers[t], &delta.inputs_dropped,
-               &dropped_bytes, detail != nullptr ? &items : nullptr);
-    if (detail != nullptr) {
-      for (InputId id : items) {
-        detail->drops.emplace_back(match_of_new[t], id);
-      }
+    ++delta.reducers_created;
+    for (const InputId id : new_reducers[t]) {
+      ++delta.inputs_moved;
+      delta.bytes_moved += sizes[id];
+      if (detail != nullptr) detail->ships.emplace_back(t, id);
     }
   }
   for (uint32_t f = 0; f < old_reducers.size(); ++f) {
@@ -319,7 +465,9 @@ DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
     ++delta.reducers_destroyed;
     delta.inputs_dropped += old_reducers[f].size();
     if (detail != nullptr) {
-      for (InputId id : old_reducers[f]) detail->drops.emplace_back(f, id);
+      for (const InputId id : old_reducers[f]) {
+        detail->drops.emplace_back(f, id);
+      }
     }
   }
   return delta;

@@ -14,24 +14,32 @@
 // order overlap bytes descending, then old index ascending, then new
 // index ascending, and pairs each one whose reducers are both still
 // free; tests/online_delta_test.cc pins this order against a
-// sort-based reference. Overlaps come from a flat inverted input index
-// built by sorting the copies of `from`, so it is sized by the copy
-// count, never by the range of the input ids. Building the candidates
-// then costs O(candidates), the number of co-occurring reducer pairs,
-// not |old| x |new|. The candidates are not
-// sorted: each new reducer's candidates form a lazy max-heap (O(size)
-// to build), and a heap of group heads yields the next pair, so only
-// the candidates the greedy actually inspects pay a log factor. An
-// exact Hungarian assignment backend (O(n^3) in the reducer count) is
-// kept as the optimal baseline: it maximizes total retained overlap,
-// hence provably minimizes shipped bytes, and the greedy matcher's gap
-// is measured against it in the differential tests and
-// bench_o1_online.
+// sort-based reference.
+//
+// Cost model, with C the copies of both schemas and P the co-occurring
+// (old, new) reducer pairs (the candidates). Reducers already sorted,
+// as every live and every remapped planned schema is, are read in
+// place; only an unsorted one is copied. Overlaps come from a flat
+// inverted input index built by one stable radix sort of all copies by
+// input id, one O(C) pass per 8-bit digit of the largest id, so the
+// index is sized by the copy count, never by the range of the ids.
+// Summing the overlaps is linear in the co-occurrences, and the
+// candidate array is sized once from their count. The candidates are
+// not sorted: a linear scan puts each new reducer's best candidate at
+// the front of its group, and a heap of group heads yields the next
+// pair. A group is heapified (O(size)) only when its head is first
+// found stale, so only the candidates the greedy inspects after that
+// pay a log factor. An exact Hungarian assignment backend (O(n^3) in
+// the reducer count) is kept as the optimal baseline: it maximizes
+// total retained overlap, hence provably minimizes shipped bytes, and
+// the greedy matcher's gap is measured against it in the differential
+// tests and bench_o1_online.
 
 #ifndef MSP_ONLINE_DELTA_H_
 #define MSP_ONLINE_DELTA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/instance.h"
@@ -88,15 +96,26 @@ struct DeltaDetail {
   std::vector<std::pair<uint32_t, InputId>> drops;  // (from index, input)
 };
 
-/// Computes the migration churn from `from` to `to`. `sizes` must be
-/// indexed by every input id appearing in either schema. Identical
-/// schemas (up to reducer order) yield an all-zero delta. When
-/// `detail` is non-null it receives the matching and the per-copy
-/// ship/drop plan consistent with the returned stats.
+/// Computes the migration churn from the reducers `from` to the
+/// reducers `to`. `sizes` must be indexed by every input id appearing
+/// in either. Identical reducer sets (up to order) yield an all-zero
+/// delta. When `detail` is non-null it receives the matching and the
+/// per-copy ship/drop plan consistent with the returned stats.
 DeltaStats MinMoveDelta(const std::vector<InputSize>& sizes,
-                        const MappingSchema& from, const MappingSchema& to,
+                        std::span<const Reducer> from,
+                        std::span<const Reducer> to,
                         DeltaDetail* detail = nullptr,
                         DeltaMatching matching = DeltaMatching::kGreedy);
+
+/// MinMoveDelta between two schemas' reducers.
+inline DeltaStats MinMoveDelta(
+    const std::vector<InputSize>& sizes, const MappingSchema& from,
+    const MappingSchema& to, DeltaDetail* detail = nullptr,
+    DeltaMatching matching = DeltaMatching::kGreedy) {
+  return MinMoveDelta(sizes, std::span<const Reducer>(from.reducers),
+                      std::span<const Reducer>(to.reducers), detail,
+                      matching);
+}
 
 }  // namespace msp::online
 

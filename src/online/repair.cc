@@ -352,10 +352,21 @@ void LiveState::ResetSchema(const MappingSchema& schema) {
   RebuildDerived();
 }
 
-void LiveState::ResetSchemaWithUids(const MappingSchema& schema,
+void LiveState::ResetSchemaWithUids(MappingSchema schema,
                                     std::vector<uint64_t> uids) {
   MSP_CHECK(uids.size() == schema.reducers.size());
-  reducers = schema.reducers;
+  // No member list is copied into a fresh allocation: one that fits the
+  // live buffer at its index is written there (keeping the slack later
+  // repairs grow into), any other is moved in.
+  reducers.resize(schema.reducers.size());
+  for (std::size_t r = 0; r < reducers.size(); ++r) {
+    Reducer& fresh = schema.reducers[r];
+    if (reducers[r].capacity() >= fresh.size()) {
+      reducers[r].assign(fresh.begin(), fresh.end());
+    } else {
+      reducers[r] = std::move(fresh);
+    }
+  }
   reducer_uids = std::move(uids);
   RebuildDerived();
 }
@@ -369,7 +380,9 @@ void LiveState::RebuildDerived() {
   cover.Reset(alive_ids.size());
   for (std::size_t r = 0; r < reducers.size(); ++r) {
     Reducer& reducer = reducers[r];
-    std::sort(reducer.begin(), reducer.end());
+    if (!std::is_sorted(reducer.begin(), reducer.end())) {
+      std::sort(reducer.begin(), reducer.end());
+    }
     for (std::size_t a = 0; a < reducer.size(); ++a) {
       loads[r] += sizes[reducer[a]];
       for (std::size_t b = a + 1; b < reducer.size(); ++b) {

@@ -178,16 +178,18 @@ struct LiveState {
   }
 
   /// Rebuilds reducers/loads/cover from `schema` (used after a full
-  /// re-plan). Members are re-sorted; loads and coverage recomputed.
+  /// re-plan). Unsorted members are sorted; loads and coverage
+  /// recomputed.
   /// Every reducer gets a fresh uid (full redeploy semantics).
   void ResetSchema(const MappingSchema& schema);
 
   /// As ResetSchema, but with caller-chosen uids (parallel to
   /// `schema.reducers`): the min-move deploy path keeps matched
-  /// reducers' identities. `next_reducer_uid` must already be past
-  /// every supplied uid.
-  void ResetSchemaWithUids(const MappingSchema& schema,
-                           std::vector<uint64_t> uids);
+  /// reducers' identities, and `schema`'s reducers are installed
+  /// without allocating (moved in, or written into a live buffer that
+  /// fits). `next_reducer_uid` must already be past every supplied
+  /// uid.
+  void ResetSchemaWithUids(MappingSchema schema, std::vector<uint64_t> uids);
 
   /// Recomputes loads and pair coverage from the current reducers
   /// (snapshot restore path; ResetSchema = assign + rebuild). When the

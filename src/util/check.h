@@ -97,6 +97,8 @@ class LogMessage {
 #define MSP_DCHECK(condition) MSP_CHECK(condition)
 #endif
 
+#define MSP_DCHECK_EQ(a, b) MSP_DCHECK((a) == (b)) << " (" #a " vs " #b ") "
+
 #define MSP_LOG(severity)                                       \
   ::msp::internal::LogMessage(                                  \
       ::msp::internal::LogSeverity::k##severity, __FILE__, __LINE__)

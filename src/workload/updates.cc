@@ -59,6 +59,9 @@ UpdateTrace GenerateTrace(const TraceConfig& config) {
   UpdateTrace trace;
   trace.x2y = config.x2y;
   trace.initial_capacity = config.capacity;
+  // Every initial input and every step emits exactly one event, so the
+  // trace is allocated once, at its final size.
+  trace.updates.reserve(config.initial_inputs + config.steps);
 
   InputSize q = config.capacity;
   AliveMirror alive;
@@ -219,6 +222,7 @@ UpdateTrace GenerateTrace(const TraceConfig& config) {
       }
       break;
   }
+  MSP_DCHECK_EQ(trace.updates.size(), config.initial_inputs + config.steps);
   return trace;
 }
 

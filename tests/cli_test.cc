@@ -940,6 +940,41 @@ TEST(CommandsTest, OnlineBudgetAndMatchingRejectBadInvocations) {
   std::remove(trace_path.c_str());
 }
 
+// A budget window without a budget sizes nothing: it is refused with a
+// reason (exit 2), not silently ignored, by every spec-reading command.
+TEST(CommandsTest, BudgetWindowWithoutChurnBudgetIsRefused) {
+  const CommandResult trace =
+      RunCli({"gen-trace", "--kind=a2a", "--initial=10", "--steps=20",
+              "--q=60", "--seed=5"});
+  ASSERT_EQ(trace.code, 0) << trace.err;
+  const std::string trace_path = TempPath("window-only.trace");
+  WriteFile(trace_path, trace.out);
+  const std::string snap_path = TempPath("window-only.snap");
+  const std::vector<std::vector<std::string>> invocations = {
+      {"online", "--trace", trace_path, "--budget-window=8"},
+      {"serve", "--instances=2", "--steps=10", "--budget-window=8"},
+      {"snapshot", "--trace", trace_path, "--steps=10", "--out", snap_path,
+       "--budget-window=8"},
+      {"simulate", "--trace", trace_path, "--budget-window=8"},
+  };
+  for (const auto& args : invocations) {
+    std::vector<const char*> argv;
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    const CommandResult result = RunCli(argv);
+    EXPECT_EQ(result.code, 2) << args[0];
+    EXPECT_NE(result.err.find("--budget-window needs --churn-budget"),
+              std::string::npos)
+        << args[0] << ": " << result.err;
+  }
+  // With a budget the window is honoured, as before.
+  EXPECT_EQ(RunCli({"online", "--trace", trace_path.c_str(),
+                    "--churn-budget=1000", "--budget-window=8"})
+                .code,
+            0);
+  std::remove(trace_path.c_str());
+  std::remove(snap_path.c_str());
+}
+
 TEST(CommandsTest, ServeListenBringsUpTheRpcFrontDoor) {
   const CommandResult result =
       RunCli({"serve", "--listen=0", "--serve-ms=100", "--shards=2",

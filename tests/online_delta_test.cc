@@ -17,6 +17,7 @@
 #include "online/assigner.h"
 #include "online/delta.h"
 #include "online/trace.h"
+#include "planner/service.h"
 #include "util/rng.h"
 #include "workload/updates.h"
 
@@ -555,6 +556,132 @@ TEST(MinMoveDeltaTest, MatchesSortedReferenceOnRandomSchemas) {
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
+  EXPECT_GT(matched_somewhere, 0u);
+}
+
+// The pair a deployed re-plan diffs: a live schema repaired over a
+// generated trace, against a fresh PlannerService plan of its alive set
+// remapped to live ids. Variants add what live pairs rarely show: an old
+// reducer and a strict superset of it that tie on overlap with the same
+// new reducer (in both index orders), and unsorted members on both
+// sides, which the library must sort through copies.
+TEST(MinMoveDeltaTest, MatchesSortedReferenceOnReplanShapedSchemas) {
+  uint64_t cases = 0;
+  uint64_t mismatches = 0;
+  uint64_t matched_somewhere = 0;
+  for (const bool x2y : {false, true}) {
+    for (const std::size_t m0 : {40, 100, 200}) {
+      wl::TraceConfig trace_config;
+      trace_config.x2y = x2y;
+      trace_config.initial_inputs = m0;
+      trace_config.steps = 60;
+      trace_config.seed = 700 + m0 + (x2y ? 1 : 0);
+      const UpdateTrace trace = wl::GenerateTrace(trace_config);
+      OnlineConfig config;
+      config.x2y = x2y;
+      config.capacity = trace.initial_capacity;
+      config.policy_spec.name = "never";
+      OnlineAssigner assigner(config);
+      std::vector<Side> side_of;
+      for (const Update& update : trace.updates) {
+        const UpdateResult result = assigner.Apply(update);
+        ASSERT_TRUE(result.applied) << result.error;
+        if (result.new_id.has_value()) {
+          side_of.resize(*result.new_id + 1);
+          side_of[*result.new_id] = update.side;
+        }
+      }
+
+      std::vector<InputSize> sizes(side_of.size(), 1);
+      std::vector<InputSize> x_sizes;
+      std::vector<InputSize> y_sizes;
+      std::vector<InputId> x_live;
+      std::vector<InputId> y_live;
+      for (InputId id = 0; id < side_of.size(); ++id) {
+        if (!assigner.is_alive(id)) continue;
+        sizes[id] = assigner.size_of(id);
+        const bool y = x2y && side_of[id] == Side::kY;
+        (y ? y_sizes : x_sizes).push_back(sizes[id]);
+        (y ? y_live : x_live).push_back(id);
+      }
+      std::vector<InputId> live_of_dense = x_live;
+      live_of_dense.insert(live_of_dense.end(), y_live.begin(), y_live.end());
+      const InputSize q = assigner.capacity();
+      planner::PlannerService planner;
+      const planner::PlanResult plan =
+          x2y ? planner.Plan(*X2YInstance::Create(x_sizes, y_sizes, q))
+              : planner.Plan(*A2AInstance::Create(x_sizes, q));
+      ASSERT_TRUE(plan.schema.has_value());
+      MappingSchema fresh;
+      for (const Reducer& reducer : plan.schema->reducers) {
+        Reducer live;
+        for (const InputId dense : reducer) {
+          live.push_back(live_of_dense[dense]);
+        }
+        std::sort(live.begin(), live.end());
+        fresh.reducers.push_back(std::move(live));
+      }
+      const MappingSchema repaired = assigner.Schema();
+
+      Rng rng(m0 * 2 + (x2y ? 1 : 0));
+      std::vector<std::pair<MappingSchema, MappingSchema>> pairs;
+      pairs.emplace_back(repaired, fresh);
+      for (const bool superset_first : {true, false}) {
+        // Two old reducers tie on overlap with fresh reducer 0: its
+        // exact copy and a superset of it (one extra member).
+        MappingSchema from = repaired;
+        Reducer superset = fresh.reducers[0];
+        for (InputId id = 0; id < sizes.size(); ++id) {
+          if (assigner.is_alive(id) &&
+              !std::binary_search(superset.begin(), superset.end(), id)) {
+            superset.push_back(id);
+            break;
+          }
+        }
+        std::sort(superset.begin(), superset.end());
+        const std::size_t at = rng.UniformInt(from.reducers.size() + 1);
+        from.reducers.insert(from.reducers.begin() + at,
+                             superset_first ? superset : fresh.reducers[0]);
+        from.reducers.insert(from.reducers.begin() + at + 1,
+                             superset_first ? fresh.reducers[0] : superset);
+        pairs.emplace_back(std::move(from), fresh);
+      }
+      {
+        MappingSchema from = repaired;
+        MappingSchema to = fresh;
+        for (MappingSchema* schema : {&from, &to}) {
+          for (Reducer& reducer : schema->reducers) {
+            if (rng.Bernoulli(0.3)) rng.Shuffle(&reducer);
+          }
+        }
+        pairs.emplace_back(std::move(from), std::move(to));
+      }
+
+      for (const auto& [from, to] : pairs) {
+        for (const bool reversed : {false, true}) {
+          const MappingSchema& a = reversed ? to : from;
+          const MappingSchema& b = reversed ? from : to;
+          DeltaDetail want;
+          const DeltaStats ref =
+              RefMinMoveDelta(sizes, a, b, &want, DeltaMatching::kGreedy);
+          DeltaDetail got;
+          const DeltaStats lib = MinMoveDelta(sizes, a, b, &got);
+          ++cases;
+          const bool same = lib == ref &&
+                            got.matched_from == want.matched_from &&
+                            got.ships == want.ships &&
+                            got.drops == want.drops;
+          if (!same && ++mismatches <= 5) {
+            ADD_FAILURE() << (x2y ? "x2y" : "a2a") << " m0=" << m0
+                          << " reversed=" << reversed;
+          }
+          matched_somewhere += ref.reducers_matched;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
+  EXPECT_EQ(cases, 2u * 3u * 4u * 2u);
   EXPECT_GT(matched_somewhere, 0u);
 }
 

@@ -326,6 +326,29 @@ TEST(OnlineTraceTest, GeneratorIsDeterministicInSeed) {
   EXPECT_NE(wl::GenerateTrace(other), a);
 }
 
+// Every initial input and every step emits exactly one event, and the
+// generator allocates the trace once at that size: a trace rebuilt at
+// twice the length (as long benchmark runs do) carries no doubling
+// slack.
+TEST(OnlineTraceTest, GeneratorAllocatesTheTraceExactly) {
+  for (const wl::TraceShape shape :
+       {wl::TraceShape::kMixed, wl::TraceShape::kFlashCrowd,
+        wl::TraceShape::kCapacityOscillation}) {
+    for (const bool x2y : {false, true}) {
+      for (const std::size_t steps : {0, 1, 97, 1000}) {
+        wl::TraceConfig config = AdversarialStatsConfig(shape);
+        config.x2y = x2y;
+        config.steps = steps;
+        const UpdateTrace trace = wl::GenerateTrace(config);
+        EXPECT_EQ(trace.updates.size(), config.initial_inputs + steps);
+        EXPECT_EQ(trace.updates.capacity(), trace.updates.size())
+            << "shape " << static_cast<int>(shape) << " x2y " << x2y
+            << " steps " << steps;
+      }
+    }
+  }
+}
+
 TEST(OnlineTraceTest, RetunesClampToMaxCapacity) {
   // With q at the subsystem limit, upward retunes must clamp so the
   // emitted trace stays replayable (the parser rejects setq > 10^18).
